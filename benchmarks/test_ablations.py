@@ -3,7 +3,7 @@ disabled at a time, plus sizing-parameter sensitivity."""
 
 from conftest import bench_scale, save_result
 
-from repro.core.flexmap_am import FlexMapAM
+from repro.engines.flexmap import FlexMapAM
 from repro.core.sizing import SizingConfig
 from repro.experiments.clusters import physical_cluster
 from repro.experiments.figures import ablation_study

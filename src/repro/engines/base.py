@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.cluster.topology import Cluster
+from repro.engines.straggler import StragglerEstimator
 from repro.hdfs.namenode import NameNode
 from repro.mapreduce.attempt import TaskAttempt
 from repro.mapreduce.job import JobSpec
@@ -90,6 +91,7 @@ class TraceRecorder:
     def __init__(self, am: "ApplicationMaster") -> None:
         self.am = am
         self.trace = JobTrace(job_id=am.job.name)
+        self.stragglers = StragglerEstimator()
 
     @property
     def obs(self) -> Observability | None:
@@ -98,8 +100,10 @@ class TraceRecorder:
 
     # -- record bookkeeping --------------------------------------------
     def add(self, record: "TaskRecord") -> None:
-        """Append a finished/killed attempt record to the job trace."""
+        """Append a finished/killed attempt record to the job trace and
+        feed it to the straggler estimator."""
         self.trace.add(record)
+        self.stragglers.add(record)
 
     # -- job lifecycle --------------------------------------------------
     def job_submitted(self) -> None:
@@ -433,30 +437,17 @@ class ReducePhaseDriver:
 
     # -- speculation -----------------------------------------------------------
     def maybe_speculate(self, container: Container) -> bool:
-        """Back up the worst reduce straggler on an idle container (LATE)."""
+        """Back up the worst reduce straggler on an idle container (LATE),
+        judged by the engine's speculation thresholds."""
         am = self.am
         if not am._reduce_speculation_enabled():
             return False
-        done = [
-            r
-            for r in am.trace.records
-            if r.kind == "reduce" and not r.killed and r.runtime > 0
-        ]
-        fresh = (
-            sum(r.runtime for r in done) / len(done) if done else math.inf
-        )
-        candidates = [
-            a
-            for a in self.running
-            if a.task_id not in self.speculated_ids
-            and not a.record.speculative
-            and a.elapsed() >= 30.0
-            and a.progress() < 0.9
-            and a.est_time_left() > fresh
-        ]
-        if not candidates:
+        stragglers = am.recorder.stragglers
+        victim = stragglers.longest_left(stragglers.backup_candidates(
+            "reduce", self.running, self.speculated_ids, am.speculation.config
+        ))
+        if victim is None:
             return False
-        victim = max(candidates, key=lambda a: (a.est_time_left(), a.task_id))
         self.speculated_ids.add(victim.task_id)
         am._launch_reduce(container, task_id=victim.task_id, speculative=True)
         return True

@@ -52,6 +52,7 @@ class SkewTuneAM(StockHadoopAM):
         self.st_config = skewtune or SkewTuneConfig()
         self.mitigation_queue: list[MapAssignment] = []
         self.mitigations = 0
+        # Never (re)mitigated: stopped stragglers and their mitigator chunks.
         self.mitigated_tasks: set[str] = set()
         self._mitigator_seq = 0
 
@@ -83,17 +84,11 @@ class SkewTuneAM(StockHadoopAM):
         cfg = self.st_config
         if self.outstanding_mitigators() >= cfg.max_outstanding_mitigations:
             return
-        candidates = [
-            a
-            for a in self.running_maps
-            if a.task_id not in self.mitigated_tasks
-            and not a.record.task_id.startswith("st")
-            and a.elapsed() >= cfg.min_age_s
-        ]
-        if not candidates:
-            return
-        victim = max(candidates, key=lambda a: (a.est_time_left(), a.task_id))
-        if victim.est_time_left() < cfg.min_remaining_s:
+        stragglers = self.recorder.stragglers
+        victim = stragglers.longest_left(stragglers.candidates(
+            self.running_maps, self.mitigated_tasks, cfg.min_age_s
+        ))
+        if victim is None or victim.est_time_left() < cfg.min_remaining_s:
             return
         self._repartition(victim, container)
 
@@ -129,6 +124,8 @@ class SkewTuneAM(StockHadoopAM):
         chunk_mb = remaining_mb / k
         for i in range(k):
             self._mitigator_seq += 1
+            task_id = f"st{self._mitigator_seq:04d}"
+            self.mitigated_tasks.add(task_id)
             chunk = Block(
                 block_id=-self._mitigator_seq,  # synthetic, outside HDFS
                 file=f"{victim.task_id}-remainder",
@@ -138,7 +135,7 @@ class SkewTuneAM(StockHadoopAM):
             )
             self.mitigation_queue.append(
                 MapAssignment(
-                    task_id=f"st{self._mitigator_seq:04d}",
+                    task_id=task_id,
                     split=InputSplit(local_blocks=[chunk]),
                     speculative=False,
                     extra_transfer_s=self.st_config.repartition_scan_s,

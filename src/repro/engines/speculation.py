@@ -17,7 +17,6 @@ variant avoids).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -66,47 +65,14 @@ class SpeculationManager:
     def _cap(self) -> int:
         return max(1, int(self.config.speculative_cap_frac * self.am.cluster.total_slots))
 
-    def _fresh_copy_estimate_s(self) -> float:
-        """Expected runtime of a re-execution, from completed map attempts.
-
-        Hadoop only backs up a task whose estimated remaining time exceeds
-        what a fresh copy would need — re-running from scratch is otherwise
-        pure waste.  Falls back to infinity before any map has completed
-        (nothing to estimate from, and first-wave speculation is premature).
-        """
-        done = [
-            r
-            for r in self.am.trace.records
-            if r.kind == "map" and not r.killed and r.runtime > 0
-        ]
-        if not done:
-            return math.inf
-        return sum(r.runtime for r in done) / len(done)
-
-    def _candidates(self) -> list[TaskAttempt]:
-        cfg = self.config
-        fresh = self._fresh_copy_estimate_s()
-        out = []
-        for attempt in self.am.running_maps:
-            if attempt.record.speculative:
-                continue
-            if attempt.task_id in self.speculated_tasks:
-                continue
-            if attempt.elapsed() < cfg.min_age_s:
-                continue
-            if attempt.progress() >= cfg.max_progress:
-                continue
-            if attempt.est_time_left() <= fresh:
-                continue
-            out.append(attempt)
-        return out
-
     def select_speculative(self, container: Container) -> MapAssignment | None:
         """Pick a straggler to back up on the offered container."""
         cfg = self.config
         if not cfg.enabled or len(self.live_backups()) >= self._cap():
             return None
-        candidates = self._candidates()
+        candidates = self.am.recorder.stragglers.backup_candidates(
+            "map", self.am.running_maps, self.speculated_tasks, cfg
+        )
         if not candidates:
             return None
         if cfg.late:
@@ -130,10 +96,8 @@ class SpeculationManager:
     def _pick_late(self, candidates: list[TaskAttempt]) -> TaskAttempt | None:
         rates = np.array([a.progress_rate() for a in candidates])
         threshold = np.percentile(rates, self.config.slow_task_percentile)
-        slow = [a for a, r in zip(candidates, rates) if r <= threshold]
-        if not slow:
-            return None
-        return max(slow, key=lambda a: (a.est_time_left(), a.task_id))
+        slow = (a for a, r in zip(candidates, rates) if r <= threshold)
+        return self.am.recorder.stragglers.longest_left(slow)
 
     def _pick_default(self, candidates: list[TaskAttempt]) -> TaskAttempt | None:
         all_progress = [a.progress() for a in self.am.running_maps]

@@ -6,18 +6,11 @@ of one event per container — same information, far fewer events.  The tick
 also drives time-based scheduler logic (speculation checks, SkewTune
 straggler scans).
 
-Multi-job runs create one :class:`HeartbeatService` per ApplicationMaster,
-so a cluster hosting N concurrent jobs pays N heap events every period even
-though the ticks land on the same instant.  The :class:`HeartbeatHub`
-coalesces them: services attached to the same simulator whose next tick is
-due at the same time share a single heap event that walks the members in
-enlistment order.  Because same-instant tick events were adjacent in the
-``(time, seq)`` heap anyway (each service re-schedules its next tick while
-handling the current one, so no foreign event can claim a sequence number
-between two member ticks), walking the group inside one event preserves the
-exact global event order — per-job traces are byte-identical to the legacy
-one-event-per-service mode, which remains available via
-``COALESCE_HEARTBEATS`` for differential benchmarking.
+Every :class:`HeartbeatService` ticks through its simulator's
+:class:`HeartbeatHub`: services whose next tick is due at the same instant
+share a single heap event that walks the members in enlistment order, so a
+cluster hosting N concurrent jobs pays one heap event per period rather
+than N.
 """
 
 from __future__ import annotations
@@ -27,11 +20,6 @@ from typing import Callable
 from repro.sim.engine import EventHandle, Simulator
 
 HEARTBEAT_PERIOD_S = 5.0
-
-#: When True (the default), heartbeat ticks due at the same instant on the
-#: same simulator share one heap event.  Set to False to restore the legacy
-#: one-event-per-service scheduling (used as the benchmark baseline).
-COALESCE_HEARTBEATS = True
 
 
 class _TickGroup:
@@ -95,8 +83,7 @@ class HeartbeatHub:
         group = self._groups.pop(due)
         group.event = None  # fired — must never be cancelled after the fact
         # Walk members in enlistment order and re-enlist each immediately
-        # after its callbacks, exactly mirroring the legacy per-service
-        # sequence: tick A, reschedule A, tick B, reschedule B, ...
+        # after its callbacks: tick A, reschedule A, tick B, reschedule B, ...
         for service in list(group.members):
             if not service._running:
                 continue  # stopped by an earlier member's callbacks
@@ -118,10 +105,8 @@ class HeartbeatService:
         self.period_s = period_s
         self._subscribers: list[Callable[[int], None]] = []
         self._round = 0
-        self._event: EventHandle | None = None
         self._running = False
         self._group: _TickGroup | None = None
-        self._coalesced = False
 
     def subscribe(self, callback: Callable[[int], None]) -> None:
         """Register a callback invoked with the heartbeat round number."""
@@ -132,20 +117,13 @@ class HeartbeatService:
         if self._running:
             return
         self._running = True
-        self._coalesced = COALESCE_HEARTBEATS
-        if self._coalesced:
-            HeartbeatHub.for_sim(self.sim).enlist(self, self.sim.now + self.period_s)
-        else:
-            self._event = self.sim.schedule(self.period_s, self._tick)
+        HeartbeatHub.for_sim(self.sim).enlist(self, self.sim.now + self.period_s)
 
     def stop(self) -> None:
-        """Stop ticking and cancel the pending event."""
+        """Stop ticking and leave the pending tick group."""
         self._running = False
         if self._group is not None:
             HeartbeatHub.for_sim(self.sim).retire(self)
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
 
     def _tick(self) -> None:
         if not self._running:
@@ -153,10 +131,6 @@ class HeartbeatService:
         self._round += 1
         for callback in list(self._subscribers):
             callback(self._round)
-        # In coalesced mode the hub re-enlists after this returns; a tick
-        # must not also self-reschedule or rounds would double up.
-        if self._running and not self._coalesced:
-            self._event = self.sim.schedule(self.period_s, self._tick)
 
     @property
     def rounds(self) -> int:

@@ -1,7 +1,7 @@
 """ResourceManager: grants containers on nodes with free slots.
 
 The RM is deliberately thin — *task*-level scheduling policy lives in the
-Application Masters (:mod:`repro.schedulers`, :mod:`repro.core.flexmap_am`).
+Application Masters (:mod:`repro.engines`).
 The RM walks nodes with free slots and *offers* a container to an AM; the
 AM either accepts (launching a task attempt, which occupies the slot until
 the AM releases it) or declines (the slot is offered to the next AM, or

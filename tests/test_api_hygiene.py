@@ -6,6 +6,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -81,9 +83,7 @@ ALLOWED_EDGES = {
     "check": {"cluster", "engines", "hdfs", "mapreduce", "obs", "sim", "yarn"},
     "cli": {"engines", "experiments", "workloads"},
     "cluster": {"sim"},
-    # core -> engines exists only through the repro.core.flexmap_am
-    # deprecation shim; FlexMap's algorithm modules stay below engines.
-    "core": {"engines", "hdfs", "mapreduce"},
+    "core": {"hdfs", "mapreduce"},
     "engines": {
         "cluster", "core", "hdfs", "mapreduce", "metrics", "obs", "sim",
         "workloads", "yarn",
@@ -100,7 +100,6 @@ ALLOWED_EDGES = {
         "yarn",
     },
     "obs": {"viz"},
-    "schedulers": {"engines"},  # pure deprecation shims
     "viz": {"sim"},
     "workloads": {"mapreduce"},
     "yarn": {"cluster", "sim"},
@@ -176,3 +175,20 @@ def test_engines_and_multijob_never_import_experiments():
     assert "experiments" not in edges.get("engines", set())
     assert "experiments" not in edges.get("multijob", set())
     assert "experiments" not in edges.get("check", set())
+
+
+def test_import_repro_emits_no_deprecation_warning():
+    saved = {
+        name: sys.modules.pop(name)
+        for name in list(sys.modules)
+        if name == "repro" or name.startswith("repro.")
+    }
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            importlib.import_module("repro")
+        assert not [
+            w for w in caught if issubclass(w.category, DeprecationWarning)
+        ], "plain `import repro` must not emit a DeprecationWarning"
+    finally:
+        sys.modules.update(saved)

@@ -131,7 +131,7 @@ def test_failure_after_job_completion_only_marks_node_dead():
     from repro.experiments.runner import ENGINES
     from repro.hdfs.namenode import NameNode
     from repro.hdfs.placement import RandomPlacement
-    from repro.schedulers.base import AMConfig
+    from repro.engines.base import AMConfig
     from repro.sim.engine import Simulator
     from repro.sim.random import RandomStreams
     from repro.yarn.resource_manager import ResourceManager

@@ -7,9 +7,9 @@ predictable, plus targeted unit checks of the policy logic.
 import pytest
 
 from repro.experiments.runner import ENGINES, EngineSpec, run_job
-from repro.schedulers.speculation import SpeculationConfig
-from repro.schedulers.stock import StockHadoopAM
-from repro.schedulers.skewtune import SkewTuneAM, SkewTuneConfig
+from repro.engines.speculation import SpeculationConfig
+from repro.engines.stock import StockHadoopAM
+from repro.engines.skewtune import SkewTuneAM, SkewTuneConfig
 from tests.conftest import make_cluster, quick_run, tiny_job
 
 
@@ -134,6 +134,17 @@ def test_reduce_speculation_rescues_slow_reducer():
         assert with_spec.jct <= without.jct
     # Reducer count is preserved regardless.
     assert len(with_spec.trace.reduces()) == 3
+
+
+@pytest.mark.parametrize("knob", [{"min_age_s": 1e9}, {"max_progress": 0.0}])
+def test_reduce_speculation_honours_speculation_config(knob):
+    # The slow-reducer scenario above backs up a reducer with the default
+    # thresholds; a config that forbids backups must forbid reduce ones too.
+    job = tiny_job(input_mb=512.0, reducers=3, shuffle=0.5)
+    spec = EngineSpec("spec-knob", 64.0, StockHadoopAM,
+                      {"speculation": SpeculationConfig(**knob)})
+    r = run_job(slow_node_cluster, job, spec, seed=9)
+    assert not any(x.speculative for x in r.trace.records if x.kind == "reduce")
 
 
 # ---------------------------------------------------------------------------
