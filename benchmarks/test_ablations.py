@@ -3,12 +3,12 @@ disabled at a time, plus sizing-parameter sensitivity."""
 
 from conftest import bench_scale, save_result
 
+from repro.engines import EngineSpec, run_job
 from repro.engines.flexmap import FlexMapAM
 from repro.core.sizing import SizingConfig
 from repro.experiments.clusters import physical_cluster
 from repro.experiments.figures import ablation_study
 from repro.experiments.report import render_table
-from repro.experiments.runner import EngineSpec, run_job
 from repro.workloads.puma import puma
 
 

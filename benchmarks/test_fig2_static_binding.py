@@ -9,9 +9,9 @@ approaches the 1:1:3 capacity shares.
 import pytest
 from conftest import save_result
 
+from repro.engines import run_job
 from repro.experiments.figures import fig2_static_binding
 from repro.experiments.report import render_table
-from repro.experiments.runner import run_job
 from repro.experiments.clusters import three_node_example
 from repro.mapreduce.job import JobSpec
 

@@ -7,9 +7,9 @@ simulator stands up and drives the Table I cluster.
 from conftest import save_result
 
 from repro.cluster.machines import MACHINE_CATALOG, total_machines
+from repro.engines import run_job
 from repro.experiments.clusters import physical_cluster
 from repro.experiments.report import render_table
-from repro.experiments.runner import run_job
 from repro.workloads.puma import puma
 
 

@@ -225,7 +225,7 @@ def _apply_mutation(config: ScenarioConfig, rm: ResourceManager) -> None:
 def _run_single(
     config: ScenarioConfig, checker: InvariantChecker, max_events: int
 ) -> tuple[tuple[float, ...], int]:
-    """One job end-to-end, mirroring :func:`repro.experiments.runner.run_job`
+    """One job end-to-end, mirroring :func:`repro.engines.driver.run_job`
     with the checker armed between RM creation and AM registration."""
     spec = ENGINES[config.engine]
     sim = Simulator()

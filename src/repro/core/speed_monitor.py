@@ -8,12 +8,14 @@ tasks contribute their end-to-end IPS as an extra sample, which is how the
 paper's "first-wave feedback" (Fig. 7) arrives.
 
 Because the paper's averaging is round-scoped, the monitor tracks the last
-round number seen per node and drops reports whose round is not strictly
-newer (a replayed or mis-batched round would otherwise mix samples across
-rounds undetected); dropped reports are tallied in ``stale_reports``.
-Heartbeat round numbers are scoped to one AM lifetime — a warm-started AM
-reusing a monitor (iterative workloads) calls :meth:`new_epoch` so the
-restarted numbering is not mistaken for stale rounds.
+round number seen per (epoch, node) and drops reports whose round is not
+strictly newer (a replayed or mis-batched round would otherwise mix samples
+across rounds undetected); dropped reports are tallied in
+``stale_reports``.  Heartbeat round numbers are scoped to one AM lifetime,
+so each AM takes its own epoch from :meth:`new_epoch` and reports under
+it.  Samples are shared across epochs: a warm-started iterative AM reusing
+a monitor, or many concurrent AMs on one cluster service, all feed and read
+the same per-node estimates while each numbers its rounds from 1.
 
 ``getSpeed`` exposes the smoothed per-node estimate; ``relative_speed``
 normalizes to the slowest known node, the quantity Algorithm 1's horizontal
@@ -42,7 +44,8 @@ class SpeedMonitor:
             raise ValueError(f"window must be >= 1: {window}")
         self.window = window
         self._samples: dict[str, deque[float]] = {}
-        self._last_round: dict[str, int] = {}
+        self._last_round: dict[int, dict[str, int]] = {}
+        self._epochs = 0
         self.stale_reports = 0
         self.obs = obs
         self.clock = clock
@@ -50,37 +53,41 @@ class SpeedMonitor:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def new_epoch(self) -> None:
-        """Reset round bookkeeping (samples survive).
+    def new_epoch(self) -> int:
+        """A fresh epoch id for a new heartbeat sequence (samples survive).
 
-        Call when a new heartbeat sequence starts numbering from scratch —
-        e.g. a warm-started iterative AM reusing this monitor's state.
+        Each AM reporting into this monitor takes one, so its round
+        numbering, which restarts at 1, is checked only against itself.
         """
-        self._last_round.clear()
+        self._epochs += 1
+        return self._epochs
 
-    def last_round(self, node_id: str) -> int | None:
-        """Most recent heartbeat round ingested for the node, if any."""
-        return self._last_round.get(node_id)
+    def last_round(self, node_id: str, epoch: int = 0) -> int | None:
+        """Most recent heartbeat round ingested for the node in ``epoch``."""
+        return self._last_round.get(epoch, {}).get(node_id)
 
-    def report_round(self, round_no: int, node_ips: dict[str, list[float]]) -> int:
+    def report_round(
+        self, round_no: int, node_ips: dict[str, list[float]], epoch: int = 0
+    ) -> int:
         """Ingest one heartbeat round: per-node lists of container IPSes.
 
         Zero entries (containers still in JVM startup) are discarded; a
         node with no productive containers this round contributes nothing.
         A node whose ``round_no`` is not strictly newer than its last seen
-        round is a stale/replayed report: it is dropped and counted.
-        Returns the number of per-node reports dropped as stale.
+        round in ``epoch`` is a stale/replayed report: it is dropped and
+        counted.  Returns the number of per-node reports dropped as stale.
         """
+        last_round = self._last_round.setdefault(epoch, {})
         dropped = 0
         for node_id, values in node_ips.items():
-            last = self._last_round.get(node_id)
+            last = last_round.get(node_id)
             if last is not None and round_no <= last:
                 dropped += 1
                 self.stale_reports += 1
                 if self.obs is not None:
                     self.obs.metrics.counter("monitor.stale_round_reports").inc()
                 continue
-            self._last_round[node_id] = round_no
+            last_round[node_id] = round_no
             productive = [v for v in values if v > 0]
             if not productive:
                 continue

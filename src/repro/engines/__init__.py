@@ -19,8 +19,6 @@ from repro.engines.base import (
     AMConfig,
     ApplicationMaster,
     MapAssignment,
-    MapPhaseDriver,
-    ReducePhaseDriver,
     TraceRecorder,
 )
 from repro.engines.driver import RunResult, compare_engines, run_job
@@ -48,8 +46,6 @@ __all__ = [
     "AMConfig",
     "ApplicationMaster",
     "MapAssignment",
-    "MapPhaseDriver",
-    "ReducePhaseDriver",
     "TraceRecorder",
     "ENGINES",
     "EngineSpec",

@@ -1,28 +1,23 @@
-"""ApplicationMaster: a thin facade over three phase collaborators.
+"""ApplicationMaster: the job driver every engine shares.
 
-The AM owns the lifecycle every engine shares — accepting container
-offers, launching task attempts, tracking the map -> shuffle/reduce phase
-transition, recording the job trace — decomposed into three composable
-collaborators instead of one monolith:
-
-* :class:`MapPhaseDriver` — map offer routing and attempt lifecycle
-  (launch, completion, early-stop/kill bookkeeping, phase-end detection);
-* :class:`ReducePhaseDriver` — the slowstart transition, reducer
-  placement/launches, and the LATE-style backup race;
-* :class:`TraceRecorder` — the :class:`~repro.sim.trace.JobTrace` plus all
-  structured observability emissions.
+The AM owns the lifecycle common to all engines — accepting container
+offers, launching map and reduce attempts, tracking the map ->
+shuffle/reduce phase transition and the LATE-style reduce backup race.  The
+one collaborator it keeps is :class:`TraceRecorder`, which owns the
+:class:`~repro.sim.trace.JobTrace`, the structured observability emissions
+and the per-AM :class:`~repro.engines.straggler.StragglerEstimator`.
 
 Engines subclass :class:`ApplicationMaster` and override the small
-strategy hooks (``prepare_maps``, ``select_map``, ``on_tick``, ...) or
-swap whole collaborators via the ``map_driver_cls`` /
-``reduce_driver_cls`` / ``trace_recorder_cls`` class attributes.
+strategy hooks: ``prepare_maps``, ``select_map``, ``maps_pending``,
+``on_map_complete``, ``select_reduce_node_ok``, ``on_tick`` and
+``requeue_map``.
 
-The facade preserves the ``repro.check`` hook points: the lifecycle
-methods (``_launch_map``, ``_map_finished``, ``finalize_stopped_map``,
-``_finish_job``, ``on_node_failure``, ``prepare_maps``, ``requeue_map``)
-remain AM instance methods, and every internal call site routes through
-the instance attribute, so checkers and mutation self-tests can wrap them
-exactly as they wrapped the pre-decomposition god class.
+The lifecycle methods (``_launch_map``, ``_map_finished``,
+``finalize_stopped_map``, ``_finish_job``, ``on_node_failure``,
+``prepare_maps``, ``requeue_map``) are AM instance methods, and every
+internal call site — the attempts' ``on_complete`` callbacks included —
+routes through ``self``, so the ``repro.check`` checkers and mutation
+self-tests can wrap them on the instance.
 
 Reducers are launched after the map phase completes (slowstart = 1.0, the
 conservative Hadoop setting; the paper's analysis treats the phases as
@@ -80,8 +75,8 @@ class MapAssignment:
 class TraceRecorder:
     """Owns the job trace and every structured observability emission.
 
-    Collaborator of :class:`ApplicationMaster`: phase drivers report
-    lifecycle milestones here, and the recorder writes the
+    Collaborator of :class:`ApplicationMaster`: the AM reports lifecycle
+    milestones here, and the recorder writes the
     :class:`~repro.sim.trace.JobTrace` plus (when observability is
     attached) the typed JSONL trace events and metric counters.  Keeping
     all emission in one object guarantees a run without ``obs`` pays
@@ -227,241 +222,10 @@ class TraceRecorder:
             )
 
 
-class MapPhaseDriver:
-    """Map-phase collaborator: offer routing plus attempt lifecycle.
-
-    Owns the running-attempt tables and the task-id sequence.  All
-    externally observable transitions route back through the AM facade
-    (``am._launch_map``, ``am._map_finished``, ``am._finish_job``) so the
-    correctness harness can wrap them on the AM instance.
-    """
-
-    def __init__(self, am: "ApplicationMaster") -> None:
-        self.am = am
-        self.running: dict[TaskAttempt, MapAssignment] = {}
-        self.containers: dict[TaskAttempt, Container] = {}
-        self.task_seq = 0
-
-    # -- offer routing ---------------------------------------------------
-    def offer(self, container: Container) -> bool:
-        """Route an RM offer to the engine's map selector; True if bound."""
-        am = self.am
-        assignment = am.select_map(container)
-        if assignment is None:
-            return False
-        am._launch_map(container, assignment)
-        return True
-
-    def next_task_id(self) -> str:
-        """Fresh sequential map task id."""
-        self.task_seq += 1
-        return f"m{self.task_seq:05d}"
-
-    # -- attempt lifecycle -------------------------------------------------
-    def launch(self, container: Container, assignment: MapAssignment) -> None:
-        """Occupy the container and start the map attempt's three phases."""
-        am = self.am
-        am.rm.occupy(container)
-        node = container.node
-        split = assignment.split
-        overhead = am.config.overhead.sample(node.effective_speed, am._overhead_rng)
-        transfer = (
-            am.cluster.network.remote_read_time(split.remote_mb)
-            + assignment.extra_transfer_s
-        )
-        noise = node.sample_work_noise(am._noise_rng)
-        attempt = TaskAttempt(
-            am.sim,
-            node,
-            task_id=assignment.task_id,
-            kind="map",
-            size_mb=split.size_mb,
-            work_s=split.work_mb * am.job.map_cost_s_per_mb * noise,
-            overhead_s=overhead,
-            transfer_s=transfer,
-            on_complete=lambda a: am._map_finished(a, container),
-            wave=assignment.wave,
-            speculative=assignment.speculative,
-            num_bus=split.num_bus,
-            local_mb=split.local_mb,
-            remote_mb=split.remote_mb,
-        )
-        self.running[attempt] = assignment
-        self.containers[attempt] = container
-        am.recorder.map_launched(assignment, node)
-
-    def finished(self, attempt: TaskAttempt, container: Container) -> None:
-        """Successful completion: commit output, release, check phase end."""
-        am = self.am
-        assignment = self.running.pop(attempt)
-        self.containers.pop(attempt, None)
-        am.recorder.add(attempt.record)
-        am.store.add(
-            attempt.node.node_id,
-            attempt.record.processed_mb * am.job.shuffle_ratio,
-        )
-        am.recorder.map_completed(attempt)
-        am.on_map_complete(attempt, assignment)
-        am.rm.release(container)
-        am._check_map_phase_end()
-
-    def finalize_stopped(self, attempt: TaskAttempt, container: Container) -> None:
-        """Bookkeeping for an attempt stopped early with committed output."""
-        am = self.am
-        self.running.pop(attempt, None)
-        self.containers.pop(attempt, None)
-        am.recorder.add(attempt.record)
-        am.store.add(
-            attempt.node.node_id,
-            attempt.record.processed_mb * am.job.shuffle_ratio,
-        )
-        am.rm.release(container)
-
-    def finalize_killed(
-        self, attempt: TaskAttempt, container: Container | None
-    ) -> None:
-        """Bookkeeping for an attempt killed with output discarded."""
-        am = self.am
-        self.running.pop(attempt, None)
-        self.containers.pop(attempt, None)
-        am.recorder.add(attempt.record)
-        if container is not None:
-            am.rm.release(container)
-
-    def done(self) -> bool:
-        """True once no map work is pending and nothing is running."""
-        return not self.am.maps_pending() and not self.running
-
-    def check_phase_end(self) -> None:
-        """Close the map phase and hand over to the reduce driver."""
-        am = self.am
-        if not self.done() or am.reduces.started:
-            if am.maps_pending():
-                am.rm.request_offers()
-            return
-        am.recorder.close_map_phase()
-        if am.job.map_only:
-            am._finish_job()
-            return
-        am.reduces.begin()
-
-
-class ReducePhaseDriver:
-    """Reduce-phase collaborator: slowstart, placement, speculation race.
-
-    Owns the pending/running reducer tables.  Launch and completion route
-    through the AM facade (``am._launch_reduce``, ``am._reduce_finished``)
-    for the same wrap-ability as the map side.
-    """
-
-    def __init__(self, am: "ApplicationMaster") -> None:
-        self.am = am
-        self.running: dict[TaskAttempt, Container] = {}
-        self.started = False
-        self.pending = 0
-        self.seq = 0
-        self.speculated_ids: set[str] = set()
-        self.done_ids: set[str] = set()
-
-    # -- phase transition --------------------------------------------------
-    def begin(self) -> None:
-        """Slowstart boundary: maps done, request containers for reducers."""
-        am = self.am
-        self.started = True
-        self.pending = am.job.num_reducers
-        am.rm.request_offers()
-
-    # -- offer routing -------------------------------------------------------
-    def offer(self, container: Container) -> bool:
-        """Route an RM offer: pending reducer, else maybe a backup copy."""
-        am = self.am
-        if self.started and self.pending > 0:
-            if not am.select_reduce_node_ok(container):
-                return False
-            am._launch_reduce(container)
-            return True
-        if self.started and self.running:
-            return am._maybe_speculate_reduce(container)
-        return False
-
-    # -- attempt lifecycle ---------------------------------------------------
-    def launch(
-        self, container: Container, task_id: str | None = None, speculative: bool = False
-    ) -> None:
-        """Occupy the container and start a reduce attempt."""
-        am = self.am
-        am.rm.occupy(container)
-        if not speculative:
-            self.pending -= 1
-            self.seq += 1
-            task_id = f"r{self.seq:04d}"
-        node = container.node
-        share = am.store.reducer_share_mb(am.job.num_reducers)
-        cross = am.store.cross_node_mb(node.node_id, share)
-        overhead = am.config.overhead.sample(node.effective_speed, am._overhead_rng)
-        noise = node.sample_work_noise(am._noise_rng)
-        attempt = TaskAttempt(
-            am.sim,
-            node,
-            task_id=task_id,
-            kind="reduce",
-            size_mb=share,
-            work_s=share * am.job.reduce_cost_s_per_mb * noise,
-            overhead_s=overhead,
-            transfer_s=am.cluster.network.shuffle_time(cross),
-            on_complete=lambda a: am._reduce_finished(a, container),
-            speculative=speculative,
-            local_mb=share - cross,
-            remote_mb=cross,
-        )
-        self.running[attempt] = container
-        am.recorder.reduce_launched(task_id, node, share, speculative)
-
-    def finished(self, attempt: TaskAttempt, container: Container) -> None:
-        """Reducer completion; the first copy home wins a speculation race."""
-        am = self.am
-        self.running.pop(attempt, None)
-        am.recorder.add(attempt.record)
-        am.recorder.reduce_completed(attempt)
-        self.done_ids.add(attempt.task_id)
-        # First copy home wins: kill the loser of a speculation race.
-        for copy, copy_container in list(self.running.items()):
-            if copy.task_id == attempt.task_id:
-                copy.kill()
-                self.running.pop(copy, None)
-                am.recorder.add(copy.record)
-                am.rm.release(copy_container)
-        am.rm.release(container)
-        if self.pending == 0 and not self.running:
-            am._finish_job()
-
-    # -- speculation -----------------------------------------------------------
-    def maybe_speculate(self, container: Container) -> bool:
-        """Back up the worst reduce straggler on an idle container (LATE),
-        judged by the engine's speculation thresholds."""
-        am = self.am
-        if not am._reduce_speculation_enabled():
-            return False
-        stragglers = am.recorder.stragglers
-        victim = stragglers.longest_left(stragglers.backup_candidates(
-            "reduce", self.running, self.speculated_ids, am.speculation.config
-        ))
-        if victim is None:
-            return False
-        self.speculated_ids.add(victim.task_id)
-        am._launch_reduce(container, task_id=victim.task_id, speculative=True)
-        return True
-
-
 class ApplicationMaster:
-    """Engine-agnostic job driver composing the three phase collaborators."""
+    """Engine-agnostic job driver: map and reduce phases plus their trace."""
 
     engine_name = "base"
-
-    #: Collaborator classes; engines may substitute their own strategies.
-    map_driver_cls = MapPhaseDriver
-    reduce_driver_cls = ReducePhaseDriver
-    trace_recorder_cls = TraceRecorder
 
     def __init__(
         self,
@@ -483,60 +247,30 @@ class ApplicationMaster:
         self.obs = self.config.obs
         self.store = IntermediateStore()
         self.heartbeat = HeartbeatService(sim, self.config.heartbeat_period_s)
-        self.recorder = self.trace_recorder_cls(self)
-        self.maps = self.map_driver_cls(self)
-        self.reduces = self.reduce_driver_cls(self)
+        self.recorder = TraceRecorder(self)
+        self.trace: JobTrace = self.recorder.trace
+        # Map phase: live attempts -> their assignments and containers.
+        self.running_maps: dict[TaskAttempt, MapAssignment] = {}
+        self.map_containers: dict[TaskAttempt, Container] = {}
+        self._map_seq = 0
+        # Reduce phase: slowstart flag, unlaunched reducers, live attempts
+        # -> containers, and the ids backed up or committed so far.
+        self.reduce_started = False
+        self.pending_reducers = 0
+        self.running_reduces: dict[TaskAttempt, Container] = {}
+        self._reduce_seq = 0
+        self._speculated_reduces: set[str] = set()
+        self._done_reduces: set[str] = set()
         self.job_done = False
         # Overhead/noise draws are interleaved across map and reduce
-        # launches, so both drivers share the AM-level generators.
+        # launches, so both phases share the AM-level generators.
         self._overhead_rng = streams.stream("overhead")
         self._noise_rng = streams.stream("exec-noise")
-
-    # ------------------------------------------------------------------
-    # collaborator state, exposed under the historical names
-    # ------------------------------------------------------------------
-    @property
-    def trace(self) -> JobTrace:
-        """The job trace owned by the :class:`TraceRecorder`."""
-        return self.recorder.trace
-
-    @property
-    def running_maps(self) -> dict[TaskAttempt, MapAssignment]:
-        """Live map attempts -> their assignments (map driver state)."""
-        return self.maps.running
-
-    @property
-    def map_containers(self) -> dict[TaskAttempt, Container]:
-        """Live map attempts -> their containers (map driver state)."""
-        return self.maps.containers
-
-    @property
-    def running_reduces(self) -> dict[TaskAttempt, Container]:
-        """Live reduce attempts -> their containers (reduce driver state)."""
-        return self.reduces.running
-
-    @property
-    def reduce_started(self) -> bool:
-        """True once the slowstart boundary has passed."""
-        return self.reduces.started
-
-    @reduce_started.setter
-    def reduce_started(self, value: bool) -> None:
-        self.reduces.started = value
-
-    @property
-    def pending_reducers(self) -> int:
-        """Reducers not yet launched (reduce driver state)."""
-        return self.reduces.pending
-
-    @pending_reducers.setter
-    def pending_reducers(self, value: int) -> None:
-        self.reduces.pending = value
 
     @property
     def completed_reducers(self) -> int:
         """Count of distinct reducers that have committed output."""
-        return len(self.reduces.done_ids)
+        return len(self._done_reduces)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -591,30 +325,94 @@ class ApplicationMaster:
     # container offers
     # ------------------------------------------------------------------
     def on_container(self, container: Container) -> bool:
-        """RM offer: return True iff a task was launched on the container."""
+        """RM offer: return True iff a task was launched on the container.
+
+        Map work goes first; after the slowstart boundary a pending reducer
+        takes the container, else it may back up a reduce straggler.
+        """
         if self.job_done:
             return False
         self.recorder.container_offered()
         if not self.maps_done():
-            return self.maps.offer(container)
-        return self.reduces.offer(container)
+            assignment = self.select_map(container)
+            if assignment is None:
+                return False
+            self._launch_map(container, assignment)
+            return True
+        if not self.reduce_started:
+            return False
+        if self.pending_reducers > 0:
+            if not self.select_reduce_node_ok(container):
+                return False
+            self._launch_reduce(container)
+            return True
+        if self.running_reduces:
+            return self._maybe_speculate_reduce(container)
+        return False
 
     # ------------------------------------------------------------------
-    # map phase (facade over MapPhaseDriver; wrap-able hook points)
+    # map phase
     # ------------------------------------------------------------------
     def next_map_id(self) -> str:
         """Fresh sequential map task id."""
-        return self.maps.next_task_id()
+        self._map_seq += 1
+        return f"m{self._map_seq:05d}"
 
     def _launch_map(self, container: Container, assignment: MapAssignment) -> None:
-        self.maps.launch(container, assignment)
+        """Occupy the container and start the map attempt's three phases."""
+        self.rm.occupy(container)
+        node = container.node
+        split = assignment.split
+        overhead = self.config.overhead.sample(node.effective_speed, self._overhead_rng)
+        transfer = (
+            self.cluster.network.remote_read_time(split.remote_mb)
+            + assignment.extra_transfer_s
+        )
+        noise = node.sample_work_noise(self._noise_rng)
+        attempt = TaskAttempt(
+            self.sim,
+            node,
+            task_id=assignment.task_id,
+            kind="map",
+            size_mb=split.size_mb,
+            work_s=split.work_mb * self.job.map_cost_s_per_mb * noise,
+            overhead_s=overhead,
+            transfer_s=transfer,
+            on_complete=lambda a: self._map_finished(a, container),
+            wave=assignment.wave,
+            speculative=assignment.speculative,
+            num_bus=split.num_bus,
+            local_mb=split.local_mb,
+            remote_mb=split.remote_mb,
+        )
+        self.running_maps[attempt] = assignment
+        self.map_containers[attempt] = container
+        self.recorder.map_launched(assignment, node)
 
     def _map_finished(self, attempt: TaskAttempt, container: Container) -> None:
-        self.maps.finished(attempt, container)
+        """Successful completion: commit output, release, check phase end."""
+        assignment = self.running_maps.pop(attempt)
+        self.map_containers.pop(attempt, None)
+        self.recorder.add(attempt.record)
+        self.store.add(
+            attempt.node.node_id,
+            attempt.record.processed_mb * self.job.shuffle_ratio,
+        )
+        self.recorder.map_completed(attempt)
+        self.on_map_complete(attempt, assignment)
+        self.rm.release(container)
+        self._check_map_phase_end()
 
     def finalize_stopped_map(self, attempt: TaskAttempt, container: Container) -> None:
         """Bookkeeping for an attempt stopped early with committed output."""
-        self.maps.finalize_stopped(attempt, container)
+        self.running_maps.pop(attempt, None)
+        self.map_containers.pop(attempt, None)
+        self.recorder.add(attempt.record)
+        self.store.add(
+            attempt.node.node_id,
+            attempt.record.processed_mb * self.job.shuffle_ratio,
+        )
+        self.rm.release(container)
 
     def finalize_killed_map(
         self, attempt: TaskAttempt, container: Container | None
@@ -625,25 +423,81 @@ class ApplicationMaster:
         already dropped (defensive: a crash arriving mid-teardown must not
         turn into an AttributeError).
         """
-        self.maps.finalize_killed(attempt, container)
+        self.running_maps.pop(attempt, None)
+        self.map_containers.pop(attempt, None)
+        self.recorder.add(attempt.record)
+        if container is not None:
+            self.rm.release(container)
 
     def maps_done(self) -> bool:
         """True once no map work is pending and nothing is running."""
-        return self.maps.done()
+        return not self.maps_pending() and not self.running_maps
 
     def _check_map_phase_end(self) -> None:
-        self.maps.check_phase_end()
+        """Close the map phase and pass the slowstart boundary: request
+        containers for the reducers (or finish a map-only job)."""
+        if not self.maps_done() or self.reduce_started:
+            if self.maps_pending():
+                self.rm.request_offers()
+            return
+        self.recorder.close_map_phase()
+        if self.job.map_only:
+            self._finish_job()
+            return
+        self.reduce_started = True
+        self.pending_reducers = self.job.num_reducers
+        self.rm.request_offers()
 
     # ------------------------------------------------------------------
-    # reduce phase (facade over ReducePhaseDriver)
+    # reduce phase
     # ------------------------------------------------------------------
     def _launch_reduce(
         self, container: Container, task_id: str | None = None, speculative: bool = False
     ) -> None:
-        self.reduces.launch(container, task_id=task_id, speculative=speculative)
+        """Occupy the container and start a reduce attempt."""
+        self.rm.occupy(container)
+        if not speculative:
+            self.pending_reducers -= 1
+            self._reduce_seq += 1
+            task_id = f"r{self._reduce_seq:04d}"
+        node = container.node
+        share = self.store.reducer_share_mb(self.job.num_reducers)
+        cross = self.store.cross_node_mb(node.node_id, share)
+        overhead = self.config.overhead.sample(node.effective_speed, self._overhead_rng)
+        noise = node.sample_work_noise(self._noise_rng)
+        attempt = TaskAttempt(
+            self.sim,
+            node,
+            task_id=task_id,
+            kind="reduce",
+            size_mb=share,
+            work_s=share * self.job.reduce_cost_s_per_mb * noise,
+            overhead_s=overhead,
+            transfer_s=self.cluster.network.shuffle_time(cross),
+            on_complete=lambda a: self._reduce_finished(a, container),
+            speculative=speculative,
+            local_mb=share - cross,
+            remote_mb=cross,
+        )
+        self.running_reduces[attempt] = container
+        self.recorder.reduce_launched(task_id, node, share, speculative)
 
     def _reduce_finished(self, attempt: TaskAttempt, container: Container) -> None:
-        self.reduces.finished(attempt, container)
+        """Reducer completion; the first copy home wins a speculation race."""
+        self.running_reduces.pop(attempt, None)
+        self.recorder.add(attempt.record)
+        self.recorder.reduce_completed(attempt)
+        self._done_reduces.add(attempt.task_id)
+        # First copy home wins: kill the loser of a speculation race.
+        for copy, copy_container in list(self.running_reduces.items()):
+            if copy.task_id == attempt.task_id:
+                copy.kill()
+                self.running_reduces.pop(copy, None)
+                self.recorder.add(copy.record)
+                self.rm.release(copy_container)
+        self.rm.release(container)
+        if self.pending_reducers == 0 and not self.running_reduces:
+            self._finish_job()
 
     def _reduce_speculation_enabled(self) -> bool:
         """Reduce backups run whenever the engine's speculator is enabled —
@@ -652,7 +506,20 @@ class ApplicationMaster:
         return manager is not None and manager.config.enabled
 
     def _maybe_speculate_reduce(self, container: Container) -> bool:
-        return self.reduces.maybe_speculate(container)
+        """Back up the worst reduce straggler on an idle container (LATE),
+        judged by the engine's speculation thresholds."""
+        if not self._reduce_speculation_enabled():
+            return False
+        stragglers = self.recorder.stragglers
+        victim = stragglers.longest_left(stragglers.backup_candidates(
+            "reduce", self.running_reduces, self._speculated_reduces,
+            self.speculation.config,
+        ))
+        if victim is None:
+            return False
+        self._speculated_reduces.add(victim.task_id)
+        self._launch_reduce(container, task_id=victim.task_id, speculative=True)
+        return True
 
     # ------------------------------------------------------------------
     # fault tolerance
@@ -690,28 +557,28 @@ class ApplicationMaster:
         if self.job_done:
             return
         self.recorder.node_failed(node)
-        for attempt, assignment in list(self.maps.running.items()):
+        for attempt, assignment in list(self.running_maps.items()):
             if attempt.node is not node:
                 continue
             if attempt.killed or attempt.finished:
                 continue  # already terminated; never requeue twice
-            container = self.maps.containers.get(attempt)
+            container = self.map_containers.get(attempt)
             attempt.kill()
             if not self._has_live_copy(attempt.task_id, other_than=attempt):
                 self.requeue_map(assignment)
             self.finalize_killed_map(attempt, container)
-        for attempt, container in list(self.reduces.running.items()):
+        for attempt, container in list(self.running_reduces.items()):
             if attempt.node is not node:
                 continue
             attempt.kill()
-            self.reduces.running.pop(attempt, None)
+            self.running_reduces.pop(attempt, None)
             self.recorder.add(attempt.record)
-            self.reduces.speculated_ids.discard(attempt.task_id)
+            self._speculated_reduces.discard(attempt.task_id)
             still_running = any(
-                a.task_id == attempt.task_id for a in self.reduces.running
+                a.task_id == attempt.task_id for a in self.running_reduces
             )
-            if attempt.task_id not in self.reduces.done_ids and not still_running:
-                self.reduces.pending += 1
+            if attempt.task_id not in self._done_reduces and not still_running:
+                self.pending_reducers += 1
             self.rm.release(container)
         self.rm.request_offers()
 
@@ -731,5 +598,5 @@ class ApplicationMaster:
         # every free container in a round; retry on the next heartbeat so
         # pending reducers cannot stall.  Running reduces also need periodic
         # offers so idle containers can launch backups.
-        if self.reduces.started and (self.reduces.pending > 0 or self.reduces.running):
+        if self.reduce_started and (self.pending_reducers > 0 or self.running_reduces):
             self.rm.request_offers()

@@ -60,9 +60,9 @@ class FlexMapAM(ApplicationMaster):
         # (Spark-style, §IV-G) workloads skip the sizing ramp after the
         # first iteration.
         self.monitor = monitor or SpeedMonitor(window=monitor_window)
-        # Heartbeat rounds are numbered per AM lifetime: a carried-over
-        # monitor must not mistake the restarted numbering for stale rounds.
-        self.monitor.new_epoch()
+        # Heartbeat rounds are numbered per AM lifetime: a carried-over or
+        # shared monitor checks this AM's rounds only against its own epoch.
+        self.monitor_epoch = self.monitor.new_epoch()
         if self.obs is not None and self.monitor.obs is None:
             self.monitor.obs = self.obs
         if self.monitor.clock is None:
@@ -155,7 +155,7 @@ class FlexMapAM(ApplicationMaster):
             for n in self.cluster.nodes
         }
         total_capacity = sum(speeds[n.node_id] * n.slots for n in self.cluster.nodes)
-        total_capacity /= getattr(self.rm, "num_active_apps", 1)
+        total_capacity /= self.rm.num_active_apps
         share = speeds[node_id] / total_capacity if total_capacity > 0 else 1.0
         return max(1, int(math.ceil(remaining * share)))
 
@@ -220,7 +220,7 @@ class FlexMapAM(ApplicationMaster):
         node_ips: dict[str, list[float]] = {}
         for attempt in self.running_maps:
             node_ips.setdefault(attempt.node.node_id, []).append(attempt.ips())
-        self.monitor.report_round(round_no, node_ips)
+        self.monitor.report_round(round_no, node_ips, epoch=self.monitor_epoch)
 
     # ------------------------------------------------------------------
     # reduce phase: capacity-squared bias

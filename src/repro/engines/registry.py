@@ -80,10 +80,10 @@ class EngineSpec:
 class _EngineRegistry(dict):
     """Name -> :class:`EngineSpec` mapping that self-populates lazily.
 
-    Subclassing ``dict`` keeps the historical ``ENGINES`` surface (it was a
-    plain dict in ``repro.experiments.runner``) while guaranteeing the
-    built-in engines are registered before any lookup or iteration, even
-    when ``repro.engines.registry`` is imported directly.
+    Subclassing ``dict`` keeps ``ENGINES`` a plain mapping for its callers
+    while guaranteeing the built-in engines are registered before any
+    lookup or iteration, even when ``repro.engines.registry`` is imported
+    directly.
     """
 
     def __missing__(self, key):

@@ -3,7 +3,7 @@
 Every straggler defence asks the same two questions: is this running
 attempt a straggler, and which one do we act on?  Map speculation
 (:class:`~repro.engines.speculation.SpeculationManager`), reduce
-speculation (:meth:`~repro.engines.base.ReducePhaseDriver.maybe_speculate`)
+speculation (:meth:`~repro.engines.base.ApplicationMaster._maybe_speculate_reduce`)
 and SkewTune (:class:`~repro.engines.skewtune.SkewTuneAM`) all answer them
 through one :class:`StragglerEstimator` per AM:
 

@@ -1,4 +1,8 @@
-"""Experiment harness: evaluation clusters, engine registry, figure drivers."""
+"""Experiment harness: evaluation clusters, seed sweeps, figure drivers.
+
+Engines, the registry and the single-job driver live in
+:mod:`repro.engines`.
+"""
 
 from repro.experiments.clusters import (
     heterogeneous6_cluster,
@@ -9,14 +13,10 @@ from repro.experiments.clusters import (
     virtual_cluster,
 )
 from repro.experiments.iterative import IterativeResult, run_iterative_job
-from repro.experiments.runner import ENGINES, EngineSpec, RunResult, run_job
 from repro.experiments.stats import SweepResult, SweepStats, compare_sweep, seed_sweep
 
 __all__ = [
-    "ENGINES",
-    "EngineSpec",
     "IterativeResult",
-    "RunResult",
     "SweepResult",
     "SweepStats",
     "compare_sweep",
@@ -26,7 +26,6 @@ __all__ = [
     "homogeneous_cluster",
     "multitenant_cluster",
     "physical_cluster",
-    "run_job",
     "three_node_example",
     "virtual_cluster",
 ]

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from repro.cluster.topology import Cluster
-from repro.experiments.runner import EngineSpec, RunResult, run_job
+from repro.engines import EngineSpec, RunResult, run_job
 from repro.mapreduce.job import JobSpec
 from repro.workloads.spec import WorkloadSpec
 

@@ -1,6 +1,6 @@
 """Multi-job cluster service: concurrent AMs sharing one simulated cluster.
 
-The single-job stack (:mod:`repro.experiments.runner`) drives one
+The single-job driver (:func:`repro.engines.run_job`) drives one
 ApplicationMaster to completion on a private cluster.  This package turns
 the simulator into a *cluster service*:
 

@@ -10,9 +10,9 @@ policy with per-job slot accounting.
 FlexMap AMs share **one** SpeedMonitor: IPS knowledge about a node learned
 by one job's containers immediately informs every other job's task sizing,
 exactly as a long-lived cluster service would accumulate it.  Heartbeat
-rounds are numbered per AM lifetime, so the shared monitor is wrapped in
-:class:`SharedSpeedMonitor`, which renumbers reports into one global
-sequence (the monitor's staleness check is round-scoped).
+rounds are numbered per AM lifetime, so each FlexMap AM takes its own
+epoch from the monitor and reports its rounds under it; the staleness
+check never compares one job's rounds with another's.
 
 Every job draws its stochastic inputs (skew, overhead jitter, exec noise)
 from streams namespaced by its job id, so adding a job to the mix never
@@ -65,54 +65,6 @@ class NamespacedStreams:
     def fresh(self, name: str):
         """A job-prefixed fresh (unshared) generator for ``name``."""
         return self._base.fresh(f"{self._prefix}/{name}")
-
-
-class SharedSpeedMonitor:
-    """One SpeedMonitor shared by many AMs.
-
-    AMs number heartbeat rounds from their own submission, so the base
-    monitor's per-node "strictly newer round" staleness check would drop
-    every report from a later-arriving job.  This wrapper renumbers each
-    ``report_round`` call into one global, monotonically increasing
-    sequence; everything else delegates to the base monitor.
-    """
-
-    def __init__(self, base: SpeedMonitor | None = None) -> None:
-        self._base = base if base is not None else SpeedMonitor()
-        self._round_seq = 0
-
-    # FlexMapAM pokes obs/clock on the monitor it is handed; forward both.
-    @property
-    def obs(self):
-        return self._base.obs
-
-    @obs.setter
-    def obs(self, value) -> None:
-        self._base.obs = value
-
-    @property
-    def clock(self):
-        return self._base.clock
-
-    @clock.setter
-    def clock(self, value) -> None:
-        self._base.clock = value
-
-    @property
-    def base(self) -> SpeedMonitor:
-        return self._base
-
-    def new_epoch(self) -> None:
-        """No-op: the global sequence never restarts, so a newly submitted
-        AM's reports are always fresh."""
-
-    def report_round(self, round_no: int, node_ips: dict[str, list[float]]) -> int:
-        """Forward a heartbeat report under the next global round number."""
-        self._round_seq += 1
-        return self._base.report_round(self._round_seq, node_ips)
-
-    def __getattr__(self, name: str):
-        return getattr(self._base, name)
 
 
 @dataclass
@@ -200,9 +152,7 @@ class ClusterService:
             policy=RandomPlacement(),
             rng=self.streams.stream("placement"),
         )
-        self.monitor = SharedSpeedMonitor(
-            SpeedMonitor(window=5, obs=obs, clock=lambda: self.sim.now)
-        )
+        self.monitor = SpeedMonitor(window=5, obs=obs, clock=lambda: self.sim.now)
         # Correctness hooks (see repro.check): both are off by default and
         # cost nothing when absent, like ``obs``.  The checker attaches to
         # each AM as it registers; the failure schedule fans each crash out

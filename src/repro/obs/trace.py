@@ -21,7 +21,8 @@ plus event-specific fields.  The instrumented stack emits:
 ``sizing``          FlexMap Algorithm 1 vertical step: node, wave,
                     productivity, s_i_before, s_i_after, decision
 ``ips``             SpeedMonitor sample: node, source (round|completion),
-                    round, sample, smoothed
+                    round (the reporting AM's heartbeat round), sample,
+                    smoothed
 ``remote_fallback`` stock Hadoop delay-scheduling gave up: node, waited_s
 ``mitigate``        SkewTune repartition: task, node, remaining_mb, chunks
 ``node_failure``    node crashed: node, running_maps, running_reduces

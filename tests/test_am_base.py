@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.experiments.runner import run_job
+from repro.engines import run_job
 from repro.engines.base import AMConfig
 from repro.yarn.overhead import OverheadModel
 from tests.conftest import make_cluster, quick_run, tiny_job

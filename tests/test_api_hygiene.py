@@ -192,3 +192,21 @@ def test_import_repro_emits_no_deprecation_warning():
         ], "plain `import repro` must not emit a DeprecationWarning"
     finally:
         sys.modules.update(saved)
+
+
+def test_no_class_forwards_attributes_through_getattr():
+    """No proxy classes in src/: a class that needs another object's
+    attributes holds it and names what it uses."""
+    offenders = []
+    for py in sorted(SRC_ROOT.rglob("*.py")):
+        tree = ast.parse(py.read_text(), filename=str(py))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    item.name == "__getattr__"
+                ):
+                    rel = py.relative_to(SRC_ROOT.parent)
+                    offenders.append(f"{rel}:{item.lineno} {node.name}")
+    assert not offenders, f"__getattr__ forwarding in src/: {offenders}"

@@ -12,8 +12,8 @@ import json
 from pathlib import Path
 
 from repro.cluster.failures import FailureSchedule
+from repro.engines import run_job
 from repro.experiments.clusters import heterogeneous6_cluster
-from repro.experiments.runner import run_job
 from repro.obs import JsonlTraceEmitter, Observability
 from repro.workloads.puma import puma
 from tests.conftest import make_cluster, tiny_job

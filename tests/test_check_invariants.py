@@ -17,8 +17,8 @@ from repro.check import (
     ScenarioConfig,
     run_scenario,
 )
+from repro.engines import ENGINES, run_job
 from repro.experiments.clusters import heterogeneous6_cluster
-from repro.experiments.runner import ENGINES, run_job
 from repro.workloads.puma import puma
 
 ALL_ENGINES = sorted(ENGINES)

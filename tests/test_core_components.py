@@ -115,9 +115,30 @@ def test_monitor_new_epoch_accepts_restarted_numbering():
     m = SpeedMonitor()
     m.report_round(50, {"a": [2.0]})
     assert m.report_round(1, {"a": [4.0]}) == 1  # stale without the reset
-    m.new_epoch()
-    assert m.report_round(1, {"a": [4.0]}) == 0
+    epoch = m.new_epoch()
+    assert m.report_round(1, {"a": [4.0]}, epoch=epoch) == 0
     assert m.get_speed("a") == pytest.approx(3.0)
+
+
+def test_monitor_epochs_interleave_round_numbers():
+    """Two AMs sharing one monitor both number rounds from 1: their
+    interleaved reports are all kept, a replay inside one epoch is not."""
+    m = SpeedMonitor(window=10)
+    first, second = m.new_epoch(), m.new_epoch()
+    assert first != second
+    assert m.report_round(1, {"a": [1.0]}, epoch=first) == 0
+    assert m.report_round(1, {"a": [2.0]}, epoch=second) == 0
+    assert m.report_round(2, {"a": [3.0]}, epoch=first) == 0
+    assert m.report_round(2, {"a": [4.0]}, epoch=second) == 0
+    assert m.report_round(3, {"a": [5.0]}, epoch=second) == 0
+    assert m.stale_reports == 0
+    assert m.get_speed("a") == pytest.approx(3.0)  # all five samples kept
+    # Replaying round 2 inside the first epoch is still stale.
+    assert m.report_round(2, {"a": [100.0]}, epoch=first) == 1
+    assert m.stale_reports == 1
+    assert m.get_speed("a") == pytest.approx(3.0)
+    assert m.last_round("a", epoch=first) == 2
+    assert m.last_round("a", epoch=second) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engines import compare_engines, run_job
 from repro.experiments.clusters import (
     heterogeneous6_cluster,
     homogeneous_cluster,
@@ -10,7 +11,6 @@ from repro.experiments.clusters import (
     three_node_example,
     virtual_cluster,
 )
-from repro.experiments.runner import compare_engines, run_job
 from repro.workloads.puma import puma
 from tests.conftest import tiny_job
 

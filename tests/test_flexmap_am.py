@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.engines import ENGINES, EngineSpec, run_job
 from repro.engines.flexmap import FlexMapAM
 from repro.core.sizing import SizingConfig
-from repro.experiments.runner import ENGINES, EngineSpec, run_job
 from tests.conftest import make_cluster, tiny_job
 
 

@@ -10,8 +10,8 @@ behaviour, which the multi-job work explicitly promises not to do.
 
 from pathlib import Path
 
+from repro.engines import run_job
 from repro.experiments.clusters import heterogeneous6_cluster
-from repro.experiments.runner import run_job
 from repro.obs import JsonlTraceEmitter, Observability
 from repro.workloads.puma import puma
 

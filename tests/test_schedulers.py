@@ -6,7 +6,7 @@ predictable, plus targeted unit checks of the policy logic.
 
 import pytest
 
-from repro.experiments.runner import ENGINES, EngineSpec, run_job
+from repro.engines import ENGINES, EngineSpec, run_job
 from repro.engines.speculation import SpeculationConfig
 from repro.engines.stock import StockHadoopAM
 from repro.engines.skewtune import SkewTuneAM, SkewTuneConfig
@@ -36,7 +36,7 @@ def test_stock_reduce_phase_after_maps():
 
 
 def test_stock_map_only_job():
-    from repro.experiments.runner import run_job
+    from repro.engines import run_job
     job = tiny_job(input_mb=256.0, reducers=0)
     r = run_job(lambda: make_cluster(), job, "hadoop-64", seed=1)
     assert r.trace.reduces() == []

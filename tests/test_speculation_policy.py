@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.experiments.runner import EngineSpec, run_job
+from repro.engines import EngineSpec, run_job
 from repro.engines.speculation import SpeculationConfig
 from repro.engines.stock import StockHadoopAM
 from repro.engines.straggler import StragglerEstimator

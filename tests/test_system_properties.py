@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.cluster.network import NetworkModel
 from repro.cluster.node import Node
 from repro.cluster.topology import Cluster
-from repro.experiments.runner import run_job
+from repro.engines import run_job
 from repro.experiments.stats import SweepStats, compare_sweep, seed_sweep
 from repro.mapreduce.job import JobSpec
 from tests.conftest import make_cluster, tiny_job
