@@ -43,11 +43,16 @@ CLUSTERS = {
 FIGURES = ("fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "overhead", "ablation")
 
 
+class UsageError(Exception):
+    """A flag value the program rejects after parsing; :func:`main`
+    reports it as argparse reports a bad flag (usage line, exit status 2)."""
+
+
 def _cluster(name: str):
     try:
         return CLUSTERS[name]
     except KeyError:
-        raise SystemExit(f"unknown cluster {name!r}; choose from {sorted(CLUSTERS)}")
+        raise UsageError(f"unknown cluster {name!r}; choose from {sorted(CLUSTERS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +168,15 @@ def _parse_queues(text: str | None) -> dict[str, float] | None:
         if not part:
             continue
         if "=" not in part:
-            raise SystemExit(f"bad queue spec {part!r}; expected name=weight")
+            raise UsageError(f"bad queue spec {part!r}; expected name=weight")
         name, _, weight = part.partition("=")
         try:
-            queues[name.strip()] = float(weight)
+            share = float(weight)
         except ValueError:
-            raise SystemExit(f"bad queue weight in {part!r}") from None
+            raise UsageError(f"bad queue weight in {part!r}") from None
+        if not share > 0:
+            raise UsageError(f"non-positive queue weight in {part!r}")
+        queues[name.strip()] = share
     return queues or None
 
 
@@ -185,43 +193,50 @@ def cmd_serve(args) -> int:
     from repro.multijob.service import ClusterService
     from repro.sim.random import RandomStreams
 
+    engines = tuple(args.engines)
+    benchmarks = tuple(args.benchmarks)
+    try:
+        if args.arrivals == "poisson":
+            arrivals = PoissonArrivals(
+                rate=args.rate,
+                n_jobs=args.n_jobs,
+                rng=RandomStreams(args.seed).stream("arrivals"),
+                benchmarks=benchmarks,
+                engines=engines,
+                input_scale=args.scale,
+            )
+        elif args.arrivals == "closed":
+            arrivals = ClosedLoopArrivals(
+                n_jobs=args.n_jobs,
+                width=args.width,
+                think_time_s=args.think_time,
+                benchmarks=benchmarks,
+                engines=engines,
+                input_scale=args.scale,
+            )
+        elif not args.trace_file:
+            raise UsageError("--arrivals trace requires --trace-file")
+        else:
+            arrivals = load_arrival_trace(args.trace_file)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    except OSError as exc:
+        raise UsageError(f"--trace-file {args.trace_file}: {exc.strerror or exc}") from None
+    cluster = _cluster(args.cluster)
+    queues = _parse_queues(args.queues)
+
     obs = None
     if args.trace_out:
         from repro.obs import Observability
 
         obs = Observability.for_files(trace_path=args.trace_out)
 
-    engines = tuple(args.engines)
-    benchmarks = tuple(args.benchmarks)
-    if args.arrivals == "poisson":
-        arrivals = PoissonArrivals(
-            rate=args.rate,
-            n_jobs=args.n_jobs,
-            rng=RandomStreams(args.seed).stream("arrivals"),
-            benchmarks=benchmarks,
-            engines=engines,
-            input_scale=args.scale,
-        )
-    elif args.arrivals == "closed":
-        arrivals = ClosedLoopArrivals(
-            n_jobs=args.n_jobs,
-            width=args.width,
-            think_time_s=args.think_time,
-            benchmarks=benchmarks,
-            engines=engines,
-            input_scale=args.scale,
-        )
-    else:  # trace
-        if not args.trace_file:
-            raise SystemExit("--arrivals trace requires --trace-file")
-        arrivals = load_arrival_trace(args.trace_file)
-
     service = ClusterService(
-        _cluster(args.cluster),
+        cluster,
         arrivals,
         policy=args.policy,
         seed=args.seed,
-        queues=_parse_queues(args.queues),
+        queues=queues,
         utilization_period_s=args.util_period,
         obs=obs,
     )
@@ -479,6 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--width", type=int, default=48,
                        help="sparkline width in characters")
 
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -488,7 +505,10 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"list": cmd_list, "run": cmd_run, "compare": cmd_compare,
                 "figure": cmd_figure, "trace": cmd_trace, "serve": cmd_serve,
                 "fuzz": cmd_fuzz, "diff": cmd_diff}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except UsageError as exc:
+        args.command_parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -44,6 +44,8 @@ class SpeedMonitor:
             raise ValueError(f"window must be >= 1: {window}")
         self.window = window
         self._samples: dict[str, deque[float]] = {}
+        # Smoothed speed per node: the window mean, updated on each push.
+        self._speed: dict[str, float] = {}
         self._last_round: dict[int, dict[str, int]] = {}
         self._epochs = 0
         self.stale_reports = 0
@@ -113,6 +115,7 @@ class SpeedMonitor:
     ) -> None:
         bucket = self._samples.setdefault(node_id, deque(maxlen=self.window))
         bucket.append(value)
+        smoothed = self._speed[node_id] = sum(bucket) / len(bucket)
         if self.obs is not None:
             self.obs.metrics.counter("monitor.samples").inc()
             self.obs.trace.emit(
@@ -122,7 +125,7 @@ class SpeedMonitor:
                 source=source,
                 round=round_no,
                 sample=round(value, 4),
-                smoothed=round(sum(bucket) / len(bucket), 4),
+                smoothed=round(smoothed, 4),
             )
 
     # ------------------------------------------------------------------
@@ -134,16 +137,11 @@ class SpeedMonitor:
 
     def get_speed(self, node_id: str) -> float | None:
         """Smoothed IPS for the node, or None before any feedback."""
-        bucket = self._samples.get(node_id)
-        if not bucket:
-            return None
-        return sum(bucket) / len(bucket)
+        return self._speed.get(node_id)
 
     def slowest_speed(self) -> float | None:
         """Smallest smoothed IPS across known nodes, or None."""
-        speeds = [self.get_speed(n) for n in self._samples]
-        speeds = [s for s in speeds if s is not None]
-        return min(speeds) if speeds else None
+        return min(self._speed.values(), default=None)
 
     def relative_speed(self, node_id: str) -> float:
         """Node speed over the slowest known node's speed (>= 1 ideally).

@@ -100,6 +100,9 @@ class FlexMapAM(ApplicationMaster):
 
     def select_map(self, container: Container) -> MapAssignment | None:
         assert self.binder is not None
+        if self.binder.unprocessed_bus == 0:
+            # No BUs left: the idle container may still back up a straggler.
+            return self.speculation.select_speculative(container)
         node_id = container.node_id
         n_bus = self.dp.task_size_bus(node_id) if self.horizontal_scaling else (
             self.sizer.task_size_bus(node_id, 1.0)
@@ -107,9 +110,6 @@ class FlexMapAM(ApplicationMaster):
         alg1 = n_bus
         n_bus = min(n_bus, self._tail_cap(node_id))
         split = self.binder.bind(node_id, n_bus)
-        if split is None:
-            # No BUs left: the idle container may still back up a straggler.
-            return self.speculation.select_speculative(container)
         wave = self._completions.get(node_id, 0) // max(1, container.node.slots)
         assignment = MapAssignment(
             task_id=self.next_map_id(),

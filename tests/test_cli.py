@@ -148,6 +148,36 @@ def test_serve_trace_arrivals_requires_file():
         main(["serve", "--arrivals", "trace"])
 
 
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["--rate", "0"], "non-positive arrival rate"),
+        (["--arrivals", "closed", "--width", "0"], "non-positive width"),
+        (["--arrivals", "trace"], "--arrivals trace requires --trace-file"),
+        (["--arrivals", "trace", "--trace-file", "{missing}"],
+         "No such file or directory"),
+        (["--arrivals", "trace", "--trace-file", "{garbage}"], "invalid JSON"),
+        (["--cluster", "nope"], "unknown cluster 'nope'"),
+        (["--queues", "no-equals-sign"], "bad queue spec"),
+        (["--policy", "capacity", "--queues", "default=0"], "non-positive queue weight"),
+    ],
+)
+def test_serve_bad_flag_values_are_usage_errors(flags, message, capsys, tmp_path):
+    """Bad flag values exit 2 with an argparse-style message, not a traceback."""
+    garbage = tmp_path / "garbage.jsonl"
+    garbage.write_text("not json\n")
+    flags = [f.format(missing=tmp_path / "missing.jsonl", garbage=garbage) for f in flags]
+    trace_out = tmp_path / "trace.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", *flags, "--trace-out", str(trace_out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro serve")
+    assert "repro serve: error: " in err and message in err
+    assert "Traceback" not in err
+    assert not trace_out.exists()  # rejected before any output is opened
+
+
 def test_serve_rejects_bad_queues():
     with pytest.raises(SystemExit):
         main(["serve", "--queues", "no-equals-sign", "--n-jobs", "1"])

@@ -141,6 +141,27 @@ def test_monitor_epochs_interleave_round_numbers():
     assert m.last_round("a", epoch=second) == 3
 
 
+def test_monitor_speed_is_exactly_the_window_mean_after_every_push():
+    """The stored smoothed speed is the window mean bit for bit, through
+    window eviction, on round and completion samples alike."""
+    from collections import deque
+
+    m = SpeedMonitor(window=3)
+    rng = np.random.default_rng(5)
+    windows = {"a": deque(maxlen=3), "b": deque(maxlen=3)}
+    for round_no in range(1, 12):
+        for node, window in windows.items():
+            values = [float(v) for v in rng.uniform(0.1, 9.0, size=3)]
+            m.report_round(round_no, {node: values})
+            window.append(sum(values) / len(values))
+            assert m.get_speed(node) == sum(window) / len(window)
+            ips = float(rng.uniform(0.1, 9.0))
+            m.report_completion(node, ips)
+            window.append(ips)
+            assert m.get_speed(node) == sum(window) / len(window)
+        assert m.slowest_speed() == min(sum(w) / len(w) for w in windows.values())
+
+
 # ---------------------------------------------------------------------------
 # Sizing — Algorithm 1
 # ---------------------------------------------------------------------------
