@@ -262,10 +262,6 @@ class ApplicationMaster:
         self._speculated_reduces: set[str] = set()
         self._done_reduces: set[str] = set()
         self.job_done = False
-        # Containers accepted so far, and the (simulator event, accepted)
-        # key of the last tail decline: see on_container.
-        self._accepted = 0
-        self._tail_decline: tuple[int, int] | None = None
         # Overhead/noise draws are interleaved across map and reduce
         # launches, so both phases share the AM-level generators.
         self._overhead_rng = streams.stream("overhead")
@@ -328,33 +324,27 @@ class ApplicationMaster:
     # ------------------------------------------------------------------
     # container offers
     # ------------------------------------------------------------------
+    def in_tail(self) -> bool:
+        """True while no map work is pending and no reducer is waiting.
+
+        In its tail an AM judges an offer from its own attempts and the
+        clock alone, never from the offered node, and a decline changes
+        nothing.  So an AM that declines in its tail would decline every
+        later offer of the same offer round, and the RM stops offering it
+        the round's remaining slots.  An engine whose tail decisions depend
+        on the offered node must override this to return False.
+        """
+        return self.pending_reducers == 0 and not self.maps_pending()
+
     def on_container(self, container: Container) -> bool:
         """RM offer: return True iff a task was launched on the container.
 
         Map work goes first; after the slowstart boundary a pending reducer
         takes the container, else it may back up a reduce straggler.
-
-        In its tail (no map work pending, no reducer waiting) an AM judges
-        an offer from its own attempts and the clock alone, never from the
-        offered node, and a decline changes nothing.  So once it declines,
-        it declines every later offer of the same offer round (one
-        simulator event) until it accepts one, without rescanning.
         """
         if self.job_done:
             return False
         self.recorder.container_offered()
-        tail = self.pending_reducers == 0 and not self.maps_pending()
-        if tail and self._tail_decline == (self.sim.events_processed, self._accepted):
-            return False
-        if self._place(container):
-            self._accepted += 1
-            return True
-        if tail:
-            self._tail_decline = (self.sim.events_processed, self._accepted)
-        return False
-
-    def _place(self, container: Container) -> bool:
-        """Launch a task on the offered container, or decline it."""
         if not self.maps_done():
             assignment = self.select_map(container)
             if assignment is None:

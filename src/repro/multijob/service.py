@@ -312,7 +312,9 @@ class ClusterService:
             guard -= 1
             if guard <= 0:
                 raise RuntimeError("service exceeded event budget")
-            if self._running:
+            # A finishing AM unregisters from the RM: collect only after an
+            # event in which some running job finished.
+            if len(self._running) > self.rm.num_registered:
                 self._collect_finished()
         if self.obs is not None:
             self.sim.record_obs()

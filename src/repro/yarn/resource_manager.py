@@ -16,7 +16,9 @@ single-job behaviour, so single-job traces are byte-identical to the
 pre-multi-job RM.
 
 Offer rounds are triggered at start, whenever an AM signals new pending
-work, and whenever a slot is released.
+work, and whenever a slot is released.  An AM that declines while in its
+tail (``ApplicationMaster.in_tail()``) is offered nothing more in that
+round; see ``_offer_round``.
 """
 
 from __future__ import annotations
@@ -117,6 +119,11 @@ class ResourceManager:
         return record.used_slots if record is not None else 0
 
     @property
+    def num_registered(self) -> int:
+        """Registered applications; a finished AM has unregistered."""
+        return len(self._apps)
+
+    @property
     def num_active_apps(self) -> int:
         """Live (not finished) registered applications, at least 1.
 
@@ -164,22 +171,43 @@ class ResourceManager:
         if not any(self._live(r) for r in self._apps.values()):
             return
         # Keep offering on a node while some AM accepts and slots remain.
-        # The policy re-ranks candidates per free slot so slot accounting
-        # from one grant influences who is offered the next slot.
+        # Candidates are ranked when the round first offers a free slot and
+        # again after each grant, the only step inside a round that changes
+        # slot accounting.  An AM that declines while in its tail would
+        # decline the rest of the round, so it leaves the candidates; the
+        # round ends once none is left.
+        closed: set[AppRecord] = set()
+        order: list[AppRecord] | None = None
         for node in nodes:
             if not node.alive:
                 continue
             while node.free_slots > 0:
-                accepted = False
-                for record in self._offer_order():
-                    container = Container(node, am=record.am)
-                    if record.am.on_container(container):
-                        record.granted += 1
-                        self.containers_granted += 1
-                        accepted = True
-                        break
-                if not accepted:
-                    break
+                if order is None:
+                    order = [r for r in self._offer_order() if r not in closed]
+                if self._offer_slot(node, order, closed):
+                    order = None
+                    continue
+                order = [r for r in order if r not in closed]
+                if not order:
+                    return
+                break
+
+    def _offer_slot(self, node, order: list[AppRecord], closed: set[AppRecord]) -> bool:
+        """Offer one free slot on ``node`` down ``order``; True on a grant.
+
+        AMs that decline while in their tail join ``closed``.  Offer sinks
+        without ``in_tail`` (tests) are never closed.
+        """
+        for record in order:
+            am = record.am
+            if am.on_container(Container(node, am=am)):
+                record.granted += 1
+                self.containers_granted += 1
+                return True
+            in_tail = getattr(am, "in_tail", None)
+            if in_tail is not None and in_tail():
+                closed.add(record)
+        return False
 
     # ------------------------------------------------------------------
     # correctness hooks (zero-cost unless installed)

@@ -262,6 +262,22 @@ def test_service_is_deterministic_per_seed():
     assert [o.jct for o in a.outcomes] != [o.jct for o in c.outcomes]
 
 
+def test_service_collects_only_after_a_job_finishes(monkeypatch):
+    collected = []
+    collect = ClusterService._collect_finished
+
+    def counted_collect(service):
+        before = len(service.outcomes)
+        collect(service)
+        collected.append(len(service.outcomes) - before)
+
+    monkeypatch.setattr(ClusterService, "_collect_finished", counted_collect)
+    result = _tiny_service()
+    assert len(result.outcomes) == 4
+    # Scanning after every simulator event would collect nothing most times.
+    assert collected and all(n > 0 for n in collected)
+
+
 def test_service_slowdown_vs_isolated_baseline():
     result = _tiny_service(n_jobs=3, compute_slowdown=True)
     for o in result.outcomes:
