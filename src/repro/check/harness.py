@@ -27,7 +27,6 @@ from repro.cluster.topology import Cluster
 from repro.engines.base import AMConfig
 from repro.engines.registry import ENGINES
 from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import RandomPlacement
 from repro.mapreduce.job import JobSpec
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -236,7 +235,6 @@ def _run_single(
     namenode = NameNode(
         [n.node_id for n in cluster.nodes],
         replication=min(3, len(cluster.nodes)),
-        policy=RandomPlacement(),
         rng=streams.stream("placement"),
     )
     namenode.create_file(job.input_file, job.input_mb, spec.block_size_mb)

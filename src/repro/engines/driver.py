@@ -23,7 +23,7 @@ from repro.cluster.topology import Cluster
 from repro.engines.base import AMConfig, ApplicationMaster
 from repro.engines.registry import EngineSpec, resolve_engine
 from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import PlacementPolicy, RandomPlacement
+from repro.hdfs.placement import PlacementPolicy
 from repro.mapreduce.job import JobSpec
 from repro.metrics.efficiency import job_efficiency
 from repro.obs import Observability
@@ -95,7 +95,7 @@ def run_job(
     namenode = NameNode(
         [n.node_id for n in cluster.nodes],
         replication=replication,
-        policy=placement or RandomPlacement(),
+        policy=placement,
         rng=streams.stream("placement"),
     )
     num_blocks = int(np.ceil(job.input_mb / spec.block_size_mb))

@@ -24,7 +24,6 @@ from repro.engines.base import AMConfig
 from repro.engines.flexmap import FlexMapAM
 from repro.engines.registry import EngineSpec, resolve_engine
 from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import RandomPlacement
 from repro.mapreduce.job import JobSpec
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -96,7 +95,6 @@ def run_iterative_job(
     namenode = NameNode(
         [n.node_id for n in cluster.nodes],
         replication=replication,
-        policy=RandomPlacement(),
         rng=streams.stream("placement"),
     )
     num_blocks = int(np.ceil(job.input_mb / spec.block_size_mb))

@@ -8,10 +8,12 @@ cost.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.hdfs.block import Block
-from repro.hdfs.placement import PlacementPolicy, RoundRobinPlacement
+from repro.hdfs.placement import PlacementPolicy, RandomPlacement
 
 
 class NameNode:
@@ -30,7 +32,7 @@ class NameNode:
             raise ValueError(f"replication must be >= 1: {replication}")
         self.node_ids = list(node_ids)
         self.replication = replication
-        self.policy = policy or RoundRobinPlacement()
+        self.policy = policy or RandomPlacement()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.files: dict[str, list[Block]] = {}
         self._next_block_id = 0
@@ -51,29 +53,25 @@ class NameNode:
             raise ValueError(f"file exists: {name}")
         if size_mb <= 0 or block_size_mb <= 0:
             raise ValueError("file and block sizes must be positive")
-        num_blocks = int(np.ceil(size_mb / block_size_mb))
+        num_blocks = math.ceil(size_mb / block_size_mb)
         placements = self.policy.place(
             num_blocks, self.node_ids, self.replication, self.rng
         )
         if cost_factors is None:
-            factors = np.ones(num_blocks)
+            factors = [1.0] * num_blocks
         else:
-            factors = np.broadcast_to(np.asarray(cost_factors, dtype=float), (num_blocks,))
+            factors = np.broadcast_to(
+                np.asarray(cost_factors, dtype=float), (num_blocks,)
+            ).tolist()
+        first_id = self._next_block_id
+        block_mb = float(block_size_mb)
+        remaining = float(size_mb)
         blocks: list[Block] = []
-        remaining = size_mb
         for i in range(num_blocks):
-            size = min(block_size_mb, remaining)
+            size = min(block_mb, remaining)
             remaining -= size
-            blocks.append(
-                Block(
-                    block_id=self._next_block_id,
-                    file=name,
-                    size_mb=size,
-                    replicas=placements[i],
-                    cost_factor=float(factors[i]),
-                )
-            )
-            self._next_block_id += 1
+            blocks.append(Block(first_id + i, name, size, placements[i], factors[i]))
+        self._next_block_id = first_id + num_blocks
         self.files[name] = blocks
         return blocks
 

@@ -33,7 +33,6 @@ from repro.engines.driver import run_job
 from repro.engines.flexmap import FlexMapAM
 from repro.engines.registry import resolve_engine
 from repro.hdfs.namenode import NameNode
-from repro.hdfs.placement import RandomPlacement
 from repro.mapreduce.job import JobSpec
 from repro.multijob.arrivals import ArrivalProcess, JobRequest
 from repro.multijob.policies import ClusterSchedulerPolicy, make_policy
@@ -149,7 +148,6 @@ class ClusterService:
         self.namenode = NameNode(
             [n.node_id for n in self.cluster.nodes],
             replication=replication,
-            policy=RandomPlacement(),
             rng=self.streams.stream("placement"),
         )
         self.monitor = SpeedMonitor(window=5, obs=obs, clock=lambda: self.sim.now)

@@ -1,8 +1,16 @@
 """CLI tests: every subcommand parses and runs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engines import engine_names
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_list_runs(capsys):
@@ -227,3 +235,24 @@ def test_diff_subcommand(capsys):
     assert main(["diff", "--engine", "flexmap"]) == 0
     out = capsys.readouterr().out
     assert "speed-scaling" in out or "ok" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--cluster", "physical", "--arrivals", "poisson", "--rate", "0.05",
+     "--n-jobs", "8", "--policy", "capacity", "--queues", "prod=3,batch=1",
+     "--engines", *engine_names(), "--seed", "1", "--scale", "0.125",
+     "--no-slowdown"],
+    ["run", "--cluster", "heterogeneous6", "--engine", "flexmap",
+     "--benchmark", "WC", "--input-gb", "1", "--seed", "7"],
+], ids=["serve", "run"])
+def test_trace_bytes_do_not_depend_on_the_hash_seed(argv, tmp_path):
+    traces = []
+    for hash_seed in ("0", "1"):
+        trace = tmp_path / f"hash{hash_seed}.jsonl"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "repro", *argv, "--trace-out", str(trace)],
+                       env=env, check=True, stdout=subprocess.DEVNULL, timeout=120)
+        traces.append(trace.read_bytes())
+    assert traces[0]
+    assert traces[0] == traces[1]

@@ -54,6 +54,67 @@ def test_random_placement_distinct_nodes():
         assert len(set(reps)) == 3
 
 
+def _choice_loop(rng, n, r, num_blocks):
+    return [tuple(int(p) for p in rng.choice(n, size=r, replace=False))
+            for _ in range(num_blocks)]
+
+
+def _assert_replays_choice(make_rng, n, r, num_blocks):
+    """RandomPlacement equals a plain ``rng.choice`` loop: same picks, same
+    generator state afterwards, same next draw."""
+    reference, placed = make_rng(), make_rng()
+    want = _choice_loop(reference, n, r, num_blocks)
+    got = RandomPlacement().place(num_blocks, list(range(n)), r, placed)
+    assert got == want
+    np.testing.assert_equal(placed.bit_generator.state, reference.bit_generator.state)
+    assert placed.random() == reference.random()
+
+
+# (nodes, replication, blocks): the paper's 11/3 and 40/3 clusters, n = r,
+# r = 1, the smallest n, and small n where Floyd's collisions are common.
+PLACEMENT_SHAPES = [(11, 3, 300), (40, 3, 300), (12, 3, 135), (3, 3, 60),
+                    (6, 3, 60), (5, 1, 60), (2, 2, 60), (2, 1, 60), (1, 1, 5)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_placement_replays_rng_choice_exactly(seed):
+    for n, r, num_blocks in PLACEMENT_SHAPES:
+        def make_rng():
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 5)
+            assert rng.bit_generator.state["has_uint32"]  # starts mid-word
+            return rng
+
+        _assert_replays_choice(make_rng, n, r, num_blocks)
+
+
+@pytest.mark.parametrize("half_word", [0, 5 * pow(9, -1, 2**32) % 2**32])
+@pytest.mark.parametrize("num_blocks", [40, 41])
+def test_random_placement_replays_lemire_rejections(half_word, num_blocks):
+    # The first draw, in [0, 8] on 11 nodes, uses the buffered half word.
+    # Times 9, 0 has a low word under 2**32 % 9 == 4 and is redrawn; 5/9
+    # mod 2**32 has a low word of 5, under 9 but not under 4, and is kept.
+    # An odd block count leaves no spare half word, so a redraw needs one
+    # more raw word.
+    def make_rng():
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, half_word
+        rng.bit_generator.state = state
+        return rng
+
+    _assert_replays_choice(make_rng, 11, 3, num_blocks)
+
+
+def test_random_placement_falls_back_to_choice_for_other_generators():
+    def make_rng():
+        rng = np.random.Generator(np.random.MT19937(7))
+        rng.integers(0, 5)
+        return rng
+
+    _assert_replays_choice(make_rng, 11, 3, 300)
+
+
 def test_replication_capped_by_cluster_size():
     p = RoundRobinPlacement()
     out = p.place(3, ["a", "b"], replication=3, rng=np.random.default_rng(0))
@@ -76,6 +137,14 @@ def test_create_file_cost_factors():
     nn = NameNode(["a"], replication=1)
     blocks = nn.create_file("f", 64.0, 16.0, cost_factors=np.array([1.0, 2.0, 0.5, 1.5]))
     assert [b.cost_factor for b in blocks] == [1.0, 2.0, 0.5, 1.5]
+
+
+def test_namenode_places_randomly_by_default():
+    nn = NameNode(["a", "b", "c", "d"], rng=np.random.default_rng(3))
+    blocks = nn.create_file("f", 80.0, 8.0)
+    expected = RandomPlacement().place(10, ["a", "b", "c", "d"], 3, np.random.default_rng(3))
+    assert isinstance(nn.policy, RandomPlacement)
+    assert [b.replicas for b in blocks] == expected
 
 
 def test_duplicate_file_rejected():

@@ -76,7 +76,7 @@ def _serve_traced(path, policy) -> bytes:
 
 
 @pytest.mark.parametrize("engine", engine_names())
-def test_memo_leaves_single_job_trace_byte_identical(engine, tmp_path, request):
+def test_round_closure_leaves_single_job_trace_byte_identical(engine, tmp_path, request):
     closed = _run_traced(tmp_path / "closed.jsonl", engine)
     request.getfixturevalue("closure_defeated")
     rescan = _run_traced(tmp_path / "rescan.jsonl", engine)
@@ -84,7 +84,7 @@ def test_memo_leaves_single_job_trace_byte_identical(engine, tmp_path, request):
 
 
 @pytest.mark.parametrize("engine", ["flexmap", "skewtune-64"])
-def test_memo_leaves_trace_byte_identical_under_node_failures(engine, tmp_path, request):
+def test_round_closure_leaves_trace_byte_identical_under_node_failures(engine, tmp_path, request):
     closed = _run_traced(tmp_path / "closed.jsonl", engine, FAILURES)
     request.getfixturevalue("closure_defeated")
     rescan = _run_traced(tmp_path / "rescan.jsonl", engine, FAILURES)
@@ -96,7 +96,7 @@ def test_memo_leaves_trace_byte_identical_under_node_failures(engine, tmp_path, 
 
 
 @pytest.mark.parametrize("policy", ["fifo", "fair", "capacity"])
-def test_memo_leaves_mixed_engine_service_trace_byte_identical(policy, tmp_path, request):
+def test_round_closure_leaves_mixed_engine_service_trace_byte_identical(policy, tmp_path, request):
     closed = _serve_traced(tmp_path / "closed.jsonl", policy)
     request.getfixturevalue("closure_defeated")
     rescan = _serve_traced(tmp_path / "rescan.jsonl", policy)
