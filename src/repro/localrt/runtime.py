@@ -11,6 +11,7 @@ overhead, and a shuffle/reduce stage grouped by key.
 from __future__ import annotations
 
 import heapq
+import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -152,13 +153,14 @@ class LocalRuntime:
 
         # ------------------------------------------------------------------
         # shuffle + reduce: partition keys, one reduce task per partition,
-        # assigned to the fastest workers first (one wave).
+        # assigned to the fastest workers first (one wave).  Keys partition
+        # by CRC-32, not hash(): str hashes are salted per process.
         grouped: dict[str, list] = defaultdict(list)
         for k, v in intermediate:
             grouped[k].append(v)
         partitions: list[list[str]] = [[] for _ in range(self.num_reducers)]
         for key in sorted(grouped):
-            partitions[hash(key) % self.num_reducers].append(key)
+            partitions[zlib.crc32(key.encode()) % self.num_reducers].append(key)
         output: dict = {}
         jct = map_phase_end
         by_speed = sorted(self.workers, key=lambda w: -w.speed)

@@ -7,13 +7,15 @@ AM either accepts (launching a task attempt, which occupies the slot until
 the AM releases it) or declines (the slot is offered to the next AM, or
 stays free until the next offer round).
 
-Since the multi-job generalization the RM can host many concurrently
-registered AMs.  *Which* AM is offered each free slot first is decided by a
-pluggable **cluster scheduler** (:mod:`repro.multijob.policies`): FIFO by
-registration order, fair sharing by weighted slot usage, or capacity queues.
-With a single registered AM every policy degenerates to the historical
-single-job behaviour, so single-job traces are byte-identical to the
-pre-multi-job RM.
+The RM can host many concurrently registered AMs.  An AM unregisters in
+the step that finishes its job, so the registered AMs are exactly the live
+ones.  *Which* AM is offered each free slot first is decided by a pluggable
+**cluster scheduler** (:mod:`repro.multijob.policies`): FIFO by
+registration order, fair sharing by weighted slot usage, or capacity
+queues.  The scheduler keeps its ranking up to date: ``register``,
+``unregister``, ``occupy`` and ``release`` report each change to it, and an
+offer round reads the ranking without filtering or sorting.  Without a
+scheduler (single-job runs) AMs are offered slots in registration order.
 
 Offer rounds are triggered at start, whenever an AM signals new pending
 work, and whenever a slot is released.  An AM that declines while in its
@@ -85,24 +87,19 @@ class ResourceManager:
             raise ValueError(f"non-positive weight: {weight}")
         if id(am) in self._apps:
             return
-        self._apps[id(am)] = AppRecord(am, self._next_app_index, queue, weight)
+        record = AppRecord(am, self._next_app_index, queue, weight)
+        self._apps[id(am)] = record
         self._next_app_index += 1
+        if self.scheduler is not None:
+            self.scheduler.add(record)
 
     def unregister(self, am: "ApplicationMaster") -> None:
         """Detach a finished AM; its held slots (if any) stay accounted to
-        the containers until released.  Idempotent."""
-        self._apps.pop(id(am), None)
-
-    @property
-    def am(self) -> "ApplicationMaster | None":
-        """The single registered AM (legacy single-job accessor).
-
-        Returns None when no AM is registered; with several AMs it returns
-        the earliest-registered one, matching the pre-multi-job field.
-        """
-        for record in self._apps.values():
-            return record.am
-        return None
+        the containers until released, outside any app's usage.
+        Idempotent."""
+        record = self._apps.pop(id(am), None)
+        if record is not None and self.scheduler is not None:
+            self.scheduler.remove(record)
 
     @property
     def apps(self) -> list[AppRecord]:
@@ -125,13 +122,13 @@ class ResourceManager:
 
     @property
     def num_active_apps(self) -> int:
-        """Live (not finished) registered applications, at least 1.
+        """Live (registered) applications, at least 1.
 
         Sizing logic divides cluster capacity by this to estimate the slice
         one job can actually occupy; in single-job mode it is 1, so the
         single-job behaviour is unchanged.
         """
-        return max(1, sum(1 for r in self._apps.values() if self._live(r)))
+        return max(1, len(self._apps))
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -145,18 +142,6 @@ class ResourceManager:
         self._offer_scheduled = True
         self.sim.schedule(0.0, self._offer_round)
 
-    @staticmethod
-    def _live(record: AppRecord) -> bool:
-        # Plain offer sinks without a job lifecycle (tests) are always live.
-        return not getattr(record.am, "job_done", False)
-
-    def _offer_order(self) -> list[AppRecord]:
-        """Candidate applications for the next slot, most deserving first."""
-        records = [r for r in self._apps.values() if self._live(r)]
-        if len(records) > 1 and self.scheduler is not None:
-            return self.scheduler.order(records)
-        return records
-
     def _offer_round(self) -> None:
         self._offer_scheduled = False
         if self._next_app_index == 0:  # no AM ever registered
@@ -168,14 +153,16 @@ class ResourceManager:
         nodes = list(self.cluster.nodes)
         if self._rng is not None:
             self._rng.shuffle(nodes)
-        if not any(self._live(r) for r in self._apps.values()):
+        if not self._apps:
             return
         # Keep offering on a node while some AM accepts and slots remain.
-        # Candidates are ranked when the round first offers a free slot and
-        # again after each grant, the only step inside a round that changes
-        # slot accounting.  An AM that declines while in its tail would
-        # decline the rest of the round, so it leaves the candidates; the
-        # round ends once none is left.
+        # The round snapshots the ranking when it first offers a free slot
+        # and again after each grant, the only step inside a round that
+        # changes slot accounting; a release inside a grant reorders nothing
+        # mid-walk.  An AM that declines while in its tail would decline the
+        # rest of the round, so it leaves the candidates; the round ends
+        # once none is left.
+        scheduler = self.scheduler
         closed: set[AppRecord] = set()
         order: list[AppRecord] | None = None
         for node in nodes:
@@ -183,7 +170,8 @@ class ResourceManager:
                 continue
             while node.free_slots > 0:
                 if order is None:
-                    order = [r for r in self._offer_order() if r not in closed]
+                    ranking = self._apps.values() if scheduler is None else scheduler.order()
+                    order = [r for r in ranking if r not in closed]
                 if self._offer_slot(node, order, closed):
                     order = None
                     continue
@@ -195,8 +183,7 @@ class ResourceManager:
     def _offer_slot(self, node, order: list[AppRecord], closed: set[AppRecord]) -> bool:
         """Offer one free slot on ``node`` down ``order``; True on a grant.
 
-        AMs that decline while in their tail join ``closed``.  Offer sinks
-        without ``in_tail`` (tests) are never closed.
+        AMs that decline while in their tail join ``closed``.
         """
         for record in order:
             am = record.am
@@ -204,8 +191,7 @@ class ResourceManager:
                 record.granted += 1
                 self.containers_granted += 1
                 return True
-            in_tail = getattr(am, "in_tail", None)
-            if in_tail is not None and in_tail():
+            if am.in_tail():
                 closed.add(record)
         return False
 
@@ -268,6 +254,8 @@ class ResourceManager:
         record = self._apps.get(id(container.am)) if container.am is not None else None
         if record is not None:
             record.used_slots += 1
+            if self.scheduler is not None:
+                self.scheduler.moved(record, record.used_slots - 1)
 
     def release(self, container: Container) -> None:
         """Return the slot and trigger a new offer round."""
@@ -278,4 +266,6 @@ class ResourceManager:
         record = self._apps.get(id(container.am)) if container.am is not None else None
         if record is not None:
             record.used_slots -= 1
+            if self.scheduler is not None:
+                self.scheduler.moved(record, record.used_slots + 1)
         self.request_offers()

@@ -12,6 +12,14 @@ from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
 
+class OfferSink:
+    """Base for RM test doubles: an AM that is never in its tail, so the
+    RM keeps offering it every free slot of a round."""
+
+    def in_tail(self) -> bool:
+        return False
+
+
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()

@@ -1,5 +1,10 @@
 """Tests for the local executable runtime: real results, elastic sizing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,9 @@ from repro.workloads.datagen import (
     teragen_records,
     wikipedia_lines,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_bus(lines, bu_records=50):
@@ -216,3 +224,31 @@ def test_first_elastic_tasks_are_one_bu():
     for t in sorted(res.maps(), key=lambda t: t.start):
         first_by_worker.setdefault(t.worker, t)
     assert all(t.num_bus == 1 for t in first_by_worker.values())
+
+
+# The 1:1:4-pool wordcount of benchmarks/test_localrt_throughput.py.
+POOL_WORDCOUNT = """
+import numpy as np
+from repro.localrt import LocalRuntime, UniformSplitter, WorkerSpec, wordcount_job
+from repro.workloads.datagen import wikipedia_lines
+lines = wikipedia_lines(30_000, np.random.default_rng(7))
+bus = [lines[i : i + 100] for i in range(0, len(lines), 100)]
+pool = [WorkerSpec("a", 1.0), WorkerSpec("b", 1.0), WorkerSpec("fast", 4.0)]
+rt = LocalRuntime(pool, overhead_s=2.0, records_per_s=200.0)
+result = rt.run(wordcount_job(), bus, UniformSplitter(8))
+print(repr(result.jct_s))
+print(list(result.output.items()))
+"""
+
+
+def test_runtime_does_not_depend_on_the_hash_seed():
+    runs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", POOL_WORDCOUNT], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        runs.append(done.stdout.splitlines())
+    jct, output = runs[0]
+    assert float(jct) > 0 and len(output) > 2
+    assert runs[0] == runs[1]

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.multijob.arrivals import (
     ClosedLoopArrivals,
@@ -23,8 +25,10 @@ from repro.multijob.service import ClusterService, NamespacedStreams
 from repro.multijob.slo import DistStats, compute_slo
 from repro.sim.random import RandomStreams
 from repro.workloads.puma import puma
-from repro.yarn.resource_manager import AppRecord
-from tests.conftest import make_cluster
+from repro.sim.engine import Simulator
+from repro.yarn.container import Container
+from repro.yarn.resource_manager import AppRecord, ResourceManager
+from tests.conftest import OfferSink, make_cluster
 
 
 # ---------------------------------------------------------------------------
@@ -36,25 +40,103 @@ def _record(index, queue="default", weight=1.0, used=0):
     return r
 
 
+def _ranked(policy, records):
+    """Register ``records`` with ``policy`` (in index order, as the RM
+    does) and return the ranked indices."""
+    for record in sorted(records, key=lambda r: r.index):
+        policy.add(record)
+    return [r.index for r in policy.order()]
+
+
 def test_fifo_orders_by_registration_index():
     records = [_record(2), _record(0), _record(1)]
-    assert [r.index for r in FifoPolicy().order(records)] == [0, 1, 2]
+    assert _ranked(FifoPolicy(), records) == [0, 1, 2]
 
 
 def test_fair_orders_by_weighted_usage_with_index_tiebreak():
     a = _record(0, used=4, weight=1.0)  # share 4.0
     b = _record(1, used=4, weight=4.0)  # share 1.0
     c = _record(2, used=1, weight=1.0)  # share 1.0 — ties with b, later index
-    assert [r.index for r in FairPolicy().order([a, b, c])] == [1, 2, 0]
+    assert _ranked(FairPolicy(), [a, b, c]) == [1, 2, 0]
 
 
 def test_capacity_orders_queues_by_usage_over_capacity():
     policy = CapacityPolicy({"prod": 3.0, "batch": 1.0})
     prod = [_record(0, "prod", used=3), _record(1, "prod", used=0)]
     batch = [_record(2, "batch", used=2)]
-    ordered = policy.order(prod + batch)
     # prod usage/capacity = 3/3 = 1.0 < batch 2/1 = 2.0; FIFO inside prod.
-    assert [r.index for r in ordered] == [0, 1, 2]
+    assert _ranked(policy, prod + batch) == [0, 1, 2]
+
+
+# batch and adhoc share capacity 1.0 (adhoc by default), so their ratios tie
+# whenever their usage does; prod at 3 slots ties batch at 1.
+RANK_QUEUES = {"prod": 3.0, "batch": 1.0}
+
+
+def _documented_order(name, rm):
+    """The live records sorted by the policy's documented key."""
+    live = rm.apps
+    if name == "fifo":
+        return sorted(live, key=lambda r: r.index)
+    if name == "fair":
+        return sorted(live, key=lambda r: (r.used_slots / r.weight, r.index))
+    usage = {}
+    for r in live:
+        usage[r.queue] = usage.get(r.queue, 0) + r.used_slots
+    capacity = rm.scheduler.capacity_of
+    return sorted(live, key=lambda r: (usage[r.queue] / capacity(r.queue), r.index))
+
+
+_rm_op = st.one_of(
+    st.tuples(st.just("register"), st.sampled_from(["prod", "batch", "adhoc"]),
+              st.sampled_from([1.0, 4.0, 0.5, 3.0])),
+    st.tuples(st.just("occupy"), st.integers(0, 7)),
+    st.tuples(st.just("release"), st.integers(0, 63)),
+    st.tuples(st.just("unregister"), st.integers(0, 7)),
+)
+
+_FAIR_FLOAT_TIE = [("register", "prod", 4.0), ("register", "prod", 1.0),
+                   ("occupy", 0), ("occupy", 0), ("occupy", 0), ("occupy", 0),
+                   ("occupy", 1), ("register", "prod", 1.0)]
+_CAPACITY_EQUAL_RATIOS = [("register", "prod", 1.0), ("register", "batch", 1.0),
+                          ("register", "prod", 1.0), ("register", "adhoc", 1.0),
+                          ("register", "batch", 1.0), ("occupy", 0), ("occupy", 0),
+                          ("occupy", 2), ("occupy", 1), ("occupy", 3),
+                          ("release", 3), ("occupy", 4)]
+_RELEASE_AFTER_UNREGISTER = [("register", "batch", 1.0), ("register", "batch", 1.0),
+                             ("register", "prod", 4.0), ("occupy", 0), ("occupy", 0),
+                             ("occupy", 2), ("unregister", 0), ("release", 0),
+                             ("release", 0), ("release", 2)]
+
+
+@pytest.mark.parametrize("name", ["fifo", "fair", "capacity"])
+@given(ops=st.lists(_rm_op, max_size=40))
+@example(ops=_FAIR_FLOAT_TIE)
+@example(ops=_CAPACITY_EQUAL_RATIOS)
+@example(ops=_RELEASE_AFTER_UNREGISTER)
+@settings(max_examples=60, deadline=None)
+def test_policy_ranking_stays_sorted_by_its_documented_key(name, ops):
+    rm = ResourceManager(Simulator(), make_cluster(speeds=(1.0,), slots=100),
+                         scheduler=make_policy(name, RANK_QUEUES))
+    node = rm.cluster.nodes[0]
+    ams, held = [], []
+    for op in ops:
+        if op[0] == "register":
+            ams.append(OfferSink())
+            rm.register(ams[-1], queue=op[1], weight=op[2])
+        elif op[0] == "release":
+            if held:
+                rm.release(held[op[1] % len(held)])
+        elif ams:
+            am = ams[op[1] % len(ams)]
+            if op[0] == "unregister":
+                rm.unregister(am)
+            else:
+                container = Container(node, am=am)
+                rm.occupy(container)
+                held.append(container)
+        assert rm.scheduler.order() == _documented_order(name, rm), op
+        assert rm.num_active_apps == max(1, len(rm.apps))
 
 
 def test_capacity_rejects_bad_shares():

@@ -163,9 +163,9 @@ def test_capacity_policy_ranks_at_most_once_per_round_and_grant(monkeypatch):
     order = CapacityPolicy.order
     offer_round = ResourceManager._offer_round
 
-    def counted_order(policy, records):
+    def counted_order(policy):
         counts["orders"] += 1
-        return order(policy, records)
+        return order(policy)
 
     def counted_round(rm):
         counts["rounds"] += 1

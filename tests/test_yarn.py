@@ -10,7 +10,7 @@ from repro.yarn.container import Container
 from repro.yarn.heartbeat import HeartbeatService
 from repro.yarn.overhead import OverheadModel
 from repro.yarn.resource_manager import ResourceManager
-from tests.conftest import make_cluster
+from tests.conftest import OfferSink, make_cluster
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_small_task_dominated_by_overhead():
 # ---------------------------------------------------------------------------
 # Container / ResourceManager
 # ---------------------------------------------------------------------------
-class AcceptingAM:
+class AcceptingAM(OfferSink):
     """Accepts every offer up to a budget, occupying slots."""
 
     def __init__(self, rm, budget):
@@ -110,7 +110,7 @@ def test_rm_release_triggers_new_offer():
 
     taken = []
 
-    class OneAtATime:
+    class OneAtATime(OfferSink):
         def on_container(self, container):
             if len(taken) >= 2:
                 return False
@@ -227,14 +227,13 @@ def test_heartbeat_validation():
 # ---------------------------------------------------------------------------
 # multi-application RM: registration, per-app accounting, cluster policies
 # ---------------------------------------------------------------------------
-class CountingAM:
+class CountingAM(OfferSink):
     """Accepts up to ``budget`` containers and holds them forever."""
 
     def __init__(self, rm, budget):
         self.rm = rm
         self.budget = budget
         self.held = []
-        self.job_done = False
 
     def on_container(self, container):
         if len(self.held) >= self.budget:
@@ -265,7 +264,6 @@ def test_rm_unregister_removes_app():
     rm.unregister(a)
     rm.unregister(a)  # idempotent
     assert [r.am for r in rm.apps] == [b]
-    assert rm.am is b
 
 
 def test_rm_per_app_slot_accounting():
@@ -308,7 +306,7 @@ def test_rm_num_active_apps_counts_live_ams():
     rm.register(a)
     rm.register(b)
     assert rm.num_active_apps == 2
-    a.job_done = True
+    rm.unregister(a)  # as ApplicationMaster._finish_job does
     assert rm.num_active_apps == 1
 
 
